@@ -4,14 +4,21 @@ A heavy ball slides toward a light ball resting near a hard wall; all
 collisions are elastic.  The total number of collisions is finite and, for a
 mass ratio M/m = 100**N, equals the integer part of pi * 10**N.  This module
 provides the event-driven simulation (used as the counting oracle), the
-closed-form count floor(pi/beta) with its integer-tie correction, and a
+closed-form count floor(pi/beta) with its integer-tie correction, a
 certified extraction of floor(pi * 10**N) based on interval arithmetic plus
-an independent high-precision series.
+an independent high-precision series, and the trajectory curves.
+
+The curves use the unfolding of the wedge (Galperin, "Playing pool with pi",
+Regular and Chaotic Dynamics 8(4), 2003): in the mass-scaled plane
+(sqrt(M) x, sqrt(m) y) the whole process is the straight line at height
+rho_min = sqrt(m) y0, with polar angle phi = pi/2 + alpha folded back into
+the wedge with period 2 beta; the k-th collision is the crossing phi = k beta.
+Every sample is a closed form; only the collision count and the energy drift
+come from :func:`simulate`.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import os
@@ -21,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bigreal import BigReal
-from .core import BilliardParams, DomainError, to_polar
-from .curves import CurveSeries
+from .core import BilliardParams, DomainError, _check_beta
+from .curves import CurveSeries, _alpha_grid, _eta_grid
 
 # Environment variable capping the interval-arithmetic escalation.
 PRECISION_BITS_ENV = "PI_BILLIARDS_PRECISION_BITS"
@@ -169,8 +176,7 @@ def count_closed_form(beta: float) -> int:
     those geometries (beta = pi/4, pi/6, ...) the final boundary ray of the
     unfolded wedge is grazed, not crossed, so the count drops by one.
     """
-    if not 0.0 < beta <= math.pi / 2 * (1 + 1e-12):
-        raise DomainError("beta must lie in (0, pi/2]")
+    _check_beta(beta)
     q = math.pi / beta
     nearest = round(q)
     if abs(q - nearest) <= _TIE_REL_TOL * max(1.0, q):
@@ -257,50 +263,28 @@ def pi_digits(digits: int) -> int:
 # -- trajectory curves --------------------------------------------------------
 
 
-def _segment_states(trace: CollisionTrace) -> list[ClassicalState]:
-    return [trace.initial] + [ev.state_after for ev in trace.events]
+def _fold(phi, beta: float):
+    """Unfolded polar angle reflected into the wedge [0, beta], period 2 beta."""
+    m = np.mod(phi, 2.0 * beta)
+    return np.where(m > beta, 2.0 * beta - m, m)
 
 
-def _rho_min_and_time(trace: CollisionTrace) -> tuple[float, float]:
-    """Global minimum of rho over the full trajectory and the time it occurs.
+def _unfolded_metadata(params: BilliardParams, v0: float, x0: float,
+                       y0: float) -> tuple[CollisionTrace, dict]:
+    """The simulated trace and the provenance both curves record.
 
-    The trajectory unfolds to a straight line in the mass-scaled plane, so the
-    minimum over the piecewise-linear physical path equals the line-to-origin
-    distance; it is found by projecting per segment (first and last segments
-    extend to infinite time).
+    Only the count and the energy drift are taken from the trace: its exact
+    integers settle float ties (beta = pi/10 gives 10 collisions where the
+    closed-form count at the exact tie is 9).
     """
-    params = trace.params
-    states = _segment_states(trace)
-    best_r2, best_t = math.inf, 0.0
-    for i, s in enumerate(states):
-        lo = -math.inf if i == 0 else 0.0
-        hi = math.inf if i == len(states) - 1 else states[i + 1].t - s.t
-        quad = params.M * s.vx ** 2 + params.m * s.vy ** 2
-        slope = 2.0 * (params.M * s.x * s.vx + params.m * s.y * s.vy)
-        tau = -slope / (2.0 * quad) if quad > 0 else 0.0
-        tau = min(max(tau, lo), hi)
-        x = s.x + s.vx * tau
-        y = s.y + s.vy * tau
-        r2 = params.M * x * x + params.m * y * y
-        if r2 < best_r2:
-            best_r2, best_t = r2, s.t + tau
-    return math.sqrt(best_r2), best_t
-
-
-def _state_at(trace: CollisionTrace, t: float) -> tuple[float, float]:
-    """Ball positions at time t, extrapolating the first/last segments."""
-    states = _segment_states(trace)
-    times = [s.t for s in states]
-    i = bisect.bisect_right(times, t) - 1
-    i = max(i, 0)
-    s = states[i]
-    tau = t - s.t
-    return s.x + s.vx * tau, s.y + s.vy * tau
-
-
-def _normalized_time(rho: float, rho_min: float, v_sign: float) -> float:
-    ratio = min(rho_min / rho, 1.0) if rho > 0 else 1.0
-    return math.copysign(1.0, v_sign) * math.acos(ratio) if v_sign != 0 else 0.0
+    trace = simulate(params, v0, x0, y0)
+    return trace, {
+        "beta": params.wedge_angle,
+        "mass_ratio": params.M / params.m,
+        "v0": v0, "x0": x0, "y0": y0,
+        "collision_count": trace.count,
+        "rho_min": math.sqrt(params.m) * y0,
+    }
 
 
 def classical_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
@@ -309,37 +293,22 @@ def classical_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
 
     alpha = sgn(d rho/dt) * arccos(rho_min/rho) runs over (-pi/2, pi/2) as the
     trajectory comes in from infinity, reaches its closest approach to the
-    corner, and recedes.  Collision events appear as slope breaks; their alpha
-    positions and the trace count are recorded in the metadata.
+    corner, and recedes.  The values come from the unfolded straight line,
+    y/x = R tan(fold(pi/2 + alpha)); collision events appear as slope breaks
+    at alpha_k = k beta - pi/2, recorded in the metadata for k = 1 .. the
+    count of :func:`simulate`.
     """
-    if samples < 2:
-        raise DomainError("need at least two samples")
-    trace = simulate(params, v0, x0, y0)
-    rho_min, t_star = _rho_min_and_time(trace)
-    speed = math.sqrt(2.0 * trace.initial.kinetic_energy(params))
-
-    alphas = (np.arange(samples) + 0.5) * (math.pi / samples) - math.pi / 2
-    ys = np.empty_like(alphas)
-    for i, alpha in enumerate(alphas):
-        t = t_star + rho_min * math.tan(alpha) / speed
-        x, y = _state_at(trace, t)
-        ys[i] = y / x
-
-    collision_alphas = []
-    for ev in trace.events:
-        p = to_polar(ev.state_after.x, ev.state_after.y, params)
-        collision_alphas.append(_normalized_time(p.rho, rho_min, ev.t - t_star))
-
+    alphas = _alpha_grid(samples)
+    trace, metadata = _unfolded_metadata(params, v0, x0, y0)
+    beta = params.wedge_angle
+    ys = params.mass_ratio_root * np.tan(_fold(math.pi / 2 + alphas, beta))
     return CurveSeries(
         abscissa="alpha", ordinate="y_over_x", xs=alphas, ys=ys,
         labels={"model": "classical", "n": ""},
         metadata={
-            "beta": params.wedge_angle,
-            "mass_ratio": params.M / params.m,
-            "v0": v0, "x0": x0, "y0": y0,
-            "collision_count": trace.count,
-            "collision_alphas": collision_alphas,
-            "rho_min": rho_min,
+            **metadata,
+            "collision_alphas": [k * beta - math.pi / 2
+                                 for k in range(1, trace.count + 1)],
             "max_energy_drift": trace.max_energy_drift,
         })
 
@@ -351,30 +320,15 @@ def classical_eta_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.
     This is the classical reference for the sector-scattering picture: eta
     plays the role of the compactified radius with the classical turning
     radius rho_min in place of the quantum one, and only the approach branch
-    (the analogue of the incident wave) is emitted.
+    (the analogue of the incident wave) is emitted.  On that branch
+    alpha = -eta, so the unfolded line gives theta/beta = fold(pi/2 - eta)/beta;
+    the collision count comes from :func:`simulate`.
     """
-    if samples < 2:
-        raise DomainError("need at least two samples")
-    trace = simulate(params, v0, x0, y0)
-    rho_min, t_star = _rho_min_and_time(trace)
-    speed = math.sqrt(2.0 * trace.initial.kinetic_energy(params))
+    etas = _eta_grid(samples)
+    _, metadata = _unfolded_metadata(params, v0, x0, y0)
     beta = params.wedge_angle
-
-    etas = (np.arange(samples) + 0.5) * (math.pi / 2 / samples)
-    ys = np.empty_like(etas)
-    for i, eta in enumerate(etas):
-        t = t_star - rho_min * math.tan(eta) / speed
-        x, y = _state_at(trace, t)
-        ys[i] = to_polar(x, y, params).theta / beta
-
     return CurveSeries(
-        abscissa="eta", ordinate="theta_over_beta", xs=etas, ys=ys,
+        abscissa="eta", ordinate="theta_over_beta", xs=etas,
+        ys=_fold(math.pi / 2 - etas, beta) / beta,
         labels={"model": "classical", "l": ""},
-        metadata={
-            "beta": beta,
-            "mass_ratio": params.M / params.m,
-            "v0": v0, "x0": x0, "y0": y0,
-            "branch": "incoming",
-            "collision_count": trace.count,
-            "rho_min": rho_min,
-        })
+        metadata={**metadata, "branch": "incoming"})

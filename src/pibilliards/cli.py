@@ -24,7 +24,7 @@ from .classical import (CollisionTrace, IndeterminateFloorError,
                         PiDigitsMismatchError, classical_curve,
                         classical_eta_curve, count_closed_form, pi_digits_detail,
                         simulate)
-from .core import BilliardParams, DomainError
+from .core import BilliardParams, DomainError, _check_beta
 from .curves import CurveSeries, format_sig
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, CylinderPrecisionError,
                       phase_shift, phase_shift_difference, sample_quantum_curve)
@@ -64,8 +64,7 @@ def _geometry_params(args) -> BilliardParams:
 
 def _geometry_beta(args) -> float:
     if args.beta is not None:
-        if not 0.0 < args.beta <= math.pi / 2:
-            raise DomainError("beta must lie in (0, pi/2]")
+        _check_beta(args.beta)
         return args.beta
     return _geometry_params(args).wedge_angle
 

@@ -24,6 +24,16 @@ class DomainError(ValueError):
 _REL_SLACK = 1e-12
 
 
+def _check_quantum_number(n) -> None:
+    if n < 1 or n != int(n):
+        raise DomainError("n must be an integer >= 1")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta <= math.pi / 2:
+        raise DomainError("beta must lie in (0, pi/2]")
+
+
 @dataclass(frozen=True)
 class BilliardParams:
     """Masses of the two balls and the unit of action.
@@ -60,6 +70,7 @@ class BilliardParams:
     @classmethod
     def from_beta(cls, beta: float, m: float = 1.0, hbar: float = 1.0) -> "BilliardParams":
         """Parameters whose wedge angle is ``beta``; requires 0 < beta < pi/2."""
+        # open at pi/2: M = 0 there, but 1/tan(pi/2) is 6e-17 in floats, not 0
         if not 0.0 < beta < math.pi / 2:
             raise DomainError("beta must lie in (0, pi/2) to define finite masses")
         r = 1.0 / math.tan(beta)

@@ -3,9 +3,29 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import DomainError
+
+
+def _midpoints(samples: int, width: float) -> np.ndarray:
+    """Centres of ``samples`` equal cells covering [0, width]."""
+    if samples < 2:
+        raise DomainError("need at least two samples")
+    return (np.arange(samples) + 0.5) * (width / samples)
+
+
+def _alpha_grid(samples: int) -> np.ndarray:
+    """Midpoint grid over the compactified time (-pi/2, pi/2)."""
+    return _midpoints(samples, math.pi) - math.pi / 2
+
+
+def _eta_grid(samples: int) -> np.ndarray:
+    """Midpoint grid over the compactified radius (0, pi/2)."""
+    return _midpoints(samples, math.pi / 2)
 
 
 def format_sig(value, sig: int = 12) -> str:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .core import DomainError
-from .curves import CurveSeries
+from .core import _REL_SLACK, DomainError, _check_beta, _check_quantum_number
+from .curves import CurveSeries, _eta_grid
 
 # Accuracy contract for cylinder-function evaluation (relative).
 CYLINDER_TOLERANCE = 1e-10
@@ -50,8 +50,7 @@ class QuantumMode:
     def __post_init__(self):
         if not self.k > 0:
             raise DomainError("k must be positive")
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError("n must be an integer >= 1")
+        _check_quantum_number(self.n)
         if not self.l > 0:
             raise DomainError("l must be positive")
 
@@ -72,11 +71,6 @@ class CylinderValue:
     j: float
     y: float
     err_bound: float
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta <= math.pi / 2:
-        raise DomainError("beta must lie in (0, pi/2]")
 
 
 def _check_order_argument(nu, x) -> None:
@@ -155,8 +149,7 @@ def phase_shift(n: int, beta: float) -> float:
     Energy- and wavenumber-independent: the standing sector mode gains the
     same phase at every k.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     _check_beta(beta)
     return (n * math.pi / beta + 0.5) * math.pi
 
@@ -169,8 +162,7 @@ def phase_shift_difference(beta: float) -> float:
 
 def amplitude_coefficient(n: int) -> float:
     """8n(n+1)/(2n+1)^2; see AMPLITUDE_COEFFICIENT_RULE for its status."""
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     return 8.0 * n * (n + 1) / (2 * n + 1) ** 2
 
 
@@ -199,8 +191,7 @@ def theta_mean(rho, n: int, beta: float, k: float = 1.0):
     below the turning radius l/k the channel-(n+1) wave is evanescent and the
     result flattens to beta/2.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     _check_beta(beta)
     if not k > 0:
         raise DomainError("k must be positive")
@@ -220,8 +211,7 @@ def theta_mean_quadrature(rho: float, n: int, beta: float, k: float = 1.0,
     outgoing wave.  This path makes no use of the closed form above and also
     serves as the only exposed route to the outgoing-wave mean angle.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     _check_beta(beta)
     if wave not in ("incident", "outgoing"):
         raise DomainError("wave must be 'incident' or 'outgoing'")
@@ -244,7 +234,7 @@ def eta_of(rho: float, l: float, k: float) -> float:
     turning radius rho = l/k, approaching pi/2 far away."""
     if not l > 0 or not k > 0:
         raise DomainError("l and k must be positive")
-    if k * rho < l * (1.0 - 1e-12):
+    if k * rho < l * (1.0 - _REL_SLACK):
         raise DomainError("rho below the turning radius l/k")
     return math.acos(min(l / (k * rho), 1.0))
 
@@ -258,11 +248,9 @@ def sample_quantum_curve(n: int, beta: float, k: float = 1.0,
     near eta = 0 (whose width shrinks as l grows) followed by oscillations
     about beta/2 that settle at the asymptotic value beta(1/2 - C(n)/pi^2).
     """
-    if grid < 2:
-        raise DomainError("need at least two samples")
+    etas = _eta_grid(grid)
     _check_beta(beta)
     l = n * math.pi / beta
-    etas = (np.arange(grid) + 0.5) * (math.pi / 2 / grid)
     rhos = l / (k * np.cos(etas))
     ys = theta_mean(rhos, n, beta, k) / beta
     return CurveSeries(

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BilliardParams, DomainError
-from .curves import CurveSeries
-
-_REL_SLACK = 1e-12
+from .core import _REL_SLACK, BilliardParams, DomainError, _check_quantum_number
+from .curves import CurveSeries, _alpha_grid
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,7 @@ class SemiclassicalConfig:
     x_min: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError("n must be an integer >= 1")
+        _check_quantum_number(self.n)
         if not self.x_min > 0:
             raise DomainError("x_min must be positive")
 
@@ -67,8 +64,7 @@ class SemiclassicalConfig:
 
 def energy_level(n: int, x: float, params: BilliardParams) -> float:
     """n-th level of an infinite well of width x: (n pi hbar)^2 / (2 m x^2)."""
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     if not x > 0:
         raise DomainError("well width must be positive")
     return (n * math.pi * params.hbar) ** 2 / (2.0 * params.m * x * x)
@@ -86,15 +82,13 @@ def berry_phase(n: int) -> float:
     The eigenfunctions are real, so the geometric connection <psi | d psi>
     vanishes; :func:`berry_connection` exposes the quadrature cross-check.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     return 0.0
 
 
 def berry_connection(n: int, x: float, nodes: int = 400) -> float:
     """<psi_n | d/dx psi_n> by Gauss-Legendre quadrature over the well."""
-    if n < 1 or n != int(n):
-        raise DomainError("n must be an integer >= 1")
+    _check_quantum_number(n)
     if not x > 0:
         raise DomainError("well width must be positive")
     t, w = np.polynomial.legendre.leggauss(nodes)
@@ -175,9 +169,7 @@ def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:
     x_min-independent cosine sweep; its extremum count matches
     :func:`extremum_count`.
     """
-    if grid < 2:
-        raise DomainError("need at least two samples")
-    alphas = (np.arange(grid) + 0.5) * (math.pi / grid) - math.pi / 2
+    alphas = _alpha_grid(grid)
     phases = cfg.phase_prefactor * (math.pi / 2 + alphas)
     ys = 0.5 - cfg.amplitude_coefficient * np.cos(phases)
     return CurveSeries(

@@ -4,17 +4,23 @@ These deliberately avoid the code paths they check: Bessel values come from a
 high-precision power series and from quadrature of the integral
 representation (not from scipy); the accumulated Bohr phase comes from an
 adaptive ODE integration of the Bohr frequency (not from the closed form);
-mean angles come from adaptive quadrature (not from Gauss-Legendre).
+mean angles come from adaptive quadrature (not from Gauss-Legendre); the
+classical curves are replayed from the float event trace of ``simulate`` and
+evaluated on the folded straight line in high-precision arithmetic (not from
+the vectorized unfolding).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import mpmath
 import numpy as np
 from scipy import integrate
 
+from pibilliards.classical import ClassicalState, CollisionTrace
+from pibilliards.core import BilliardParams, to_polar
 from pibilliards.semiclassical import SemiclassicalConfig, big_ball_speed
 
 
@@ -155,3 +161,91 @@ def two_level_mean_position_quadrature(n: int, phase: float, x: float) -> float:
     num, _ = integrate.quad(lambda y: y * density(y), 0.0, x, limit=200,
                             epsabs=1e-13, epsrel=1e-13)
     return num
+
+
+# -- classical curves ----------------------------------------------------------
+
+
+def _segment_states(trace: CollisionTrace) -> list[ClassicalState]:
+    return [trace.initial] + [ev.state_after for ev in trace.events]
+
+
+def replay_rho_min_and_time(trace: CollisionTrace) -> tuple[float, float]:
+    """Minimum of rho over the replayed trajectory and the time it occurs.
+
+    Projects the corner onto every straight segment (the first and last
+    extend to infinite time) and keeps the closest point.
+    """
+    params = trace.params
+    states = _segment_states(trace)
+    best_r2, best_t = math.inf, 0.0
+    for i, s in enumerate(states):
+        lo = -math.inf if i == 0 else 0.0
+        hi = math.inf if i == len(states) - 1 else states[i + 1].t - s.t
+        quad = params.M * s.vx ** 2 + params.m * s.vy ** 2
+        slope = 2.0 * (params.M * s.x * s.vx + params.m * s.y * s.vy)
+        tau = -slope / (2.0 * quad) if quad > 0 else 0.0
+        tau = min(max(tau, lo), hi)
+        x = s.x + s.vx * tau
+        y = s.y + s.vy * tau
+        r2 = params.M * x * x + params.m * y * y
+        if r2 < best_r2:
+            best_r2, best_t = r2, s.t + tau
+    return math.sqrt(best_r2), best_t
+
+
+def _replay_positions(trace: CollisionTrace, times) -> list[tuple[float, float]]:
+    """Ball positions at each time, extrapolating the first/last segments."""
+    states = _segment_states(trace)
+    starts = [s.t for s in states]
+    out = []
+    for t in times:
+        s = states[max(bisect.bisect_right(starts, t) - 1, 0)]
+        out.append((s.x + s.vx * (t - s.t), s.y + s.vy * (t - s.t)))
+    return out
+
+
+def _replay_times(trace: CollisionTrace, alphas) -> list[float]:
+    """Physical times of the compactified times alpha: t* + rho_min tan(alpha) / speed."""
+    rho_min, t_star = replay_rho_min_and_time(trace)
+    speed = math.sqrt(2.0 * trace.initial.kinetic_energy(trace.params))
+    return [t_star + rho_min * math.tan(a) / speed for a in alphas]
+
+
+def replay_position_curve(trace: CollisionTrace, alphas) -> np.ndarray:
+    """y/x at each alpha, read off the float event trace."""
+    return np.array([y / x for x, y in _replay_positions(trace, _replay_times(trace, alphas))])
+
+
+def replay_angle_curve(trace: CollisionTrace, etas) -> np.ndarray:
+    """Incoming-branch theta/beta at each eta (alpha = -eta), read off the trace."""
+    positions = _replay_positions(trace, _replay_times(trace, -np.asarray(etas)))
+    beta = trace.params.wedge_angle
+    return np.array([to_polar(x, y, trace.params).theta / beta for x, y in positions])
+
+
+def _folded_line_mp(params: BilliardParams):
+    """R and the fold into [0, beta] at 40 digits, for the exact float masses."""
+    r = mpmath.sqrt(mpmath.mpf(params.M) / mpmath.mpf(params.m))
+    beta = mpmath.acot(r)
+
+    def fold(phi):
+        rem = phi - 2 * beta * mpmath.floor(phi / (2 * beta))
+        return 2 * beta - rem if rem > beta else rem
+    return r, beta, fold
+
+
+def folded_line_position_mp(params: BilliardParams, alphas) -> np.ndarray:
+    """y/x = R tan(fold(pi/2 + alpha)) evaluated at 40 digits."""
+    with mpmath.workdps(40):
+        r, _, fold = _folded_line_mp(params)
+        return np.array([float(r * mpmath.tan(fold(mpmath.pi / 2 + mpmath.mpf(float(a)))))
+                         for a in alphas])
+
+
+def folded_line_angle_mp(params: BilliardParams, etas) -> np.ndarray:
+    """theta/beta = fold(pi/2 - eta)/beta evaluated at 40 digits."""
+    with mpmath.workdps(40):
+        _, beta, fold = _folded_line_mp(params)
+        return np.array([float(fold(mpmath.pi / 2 - mpmath.mpf(float(e))) / beta)
+                         for e in etas])

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (folded_line_angle_mp, folded_line_position_mp,
+                     replay_angle_curve, replay_position_curve,
+                     replay_rho_min_and_time)
 
 from pibilliards import (BilliardParams, CollisionKind, DomainError,
-                         IndeterminateFloorError, beta_of_ratio,
+                         IndeterminateFloorError, alpha_of, beta_of_ratio,
                          classical_curve, classical_eta_curve,
                          count_closed_form, pi_digits, pi_digits_detail,
-                         simulate)
+                         simulate, to_polar)
 from pibilliards.classical import PRECISION_BITS_ENV
+
+EPS = np.finfo(float).eps
 
 PI_PREFIXES = [3, 31, 314, 3141, 31415, 314159, 3141592, 31415926, 314159265,
                3141592653, 31415926535, 314159265358, 3141592653589]
@@ -193,3 +200,53 @@ def test_classical_eta_curve_incoming_branch():
     assert series.metadata["branch"] == "incoming"
     # near the far end (eta -> pi/2) the incoming angle is near the wedge floor
     assert series.ys[-1] < 0.2
+
+
+# -- unfolded curves against their oracles ------------------------------------------
+
+def test_classical_curves_match_folded_line_at_large_ratio():
+    # 3141 collisions: replaying the float trace is off by 1.4e-8 here, the
+    # unfolded line only by the rounding of pi/2 + alpha
+    p = BilliardParams.from_mass_ratio(1e6)
+    position = classical_curve(p)
+    angle = classical_eta_curve(p)
+    assert np.max(np.abs(position.ys - folded_line_position_mp(p, position.xs))) < 1e-11
+    assert np.max(np.abs(angle.ys - folded_line_angle_mp(p, angle.xs))) < 1e-11
+
+
+RATIOS = st.floats(min_value=1.0, max_value=1e4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATIOS)
+def test_events_land_on_unfolded_crossings(ratio):
+    p = BilliardParams.from_mass_ratio(ratio)
+    v0, x0, y0 = 1.0, 10.0, 1.0
+    trace = simulate(p, v0, x0, y0)
+    crossings = classical_curve(p, v0, x0, y0, samples=2).metadata["collision_alphas"]
+    assert len(crossings) == trace.count
+    rho_min, t_star = math.sqrt(p.m) * y0, x0 / v0
+    # relative rho error of the event states; d alpha = d rho / (rho tan alpha)
+    # away from alpha = 0 and at most about sqrt(2 delta) at it
+    delta = 16 * trace.count * EPS
+    for ev, expected in zip(trace.events, crossings):
+        s = ev.state_after
+        alpha = alpha_of(to_polar(s.x, s.y, p).rho, rho_min, int(np.sign(ev.t - t_star)))
+        assert abs(alpha - expected) <= \
+            2 * delta / max(abs(math.sin(expected)), math.sqrt(delta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATIOS)
+def test_unfolded_curves_match_trace_replay(ratio):
+    p = BilliardParams.from_mass_ratio(ratio)
+    trace = simulate(p, 1.0, 10.0, 1.0)
+    position = classical_curve(p, samples=257)
+    angle = classical_eta_curve(p, samples=257)
+    # each of the K float segments adds rounding to the replayed positions,
+    # and y/x amplifies angle errors by R ~ K/pi
+    tol = 1e-13 + 32 * trace.count ** 2 * EPS
+    assert np.max(np.abs(position.ys - replay_position_curve(trace, position.xs))) <= tol
+    assert np.max(np.abs(angle.ys - replay_angle_curve(trace, angle.xs))) <= tol
+    rho_min, _ = replay_rho_min_and_time(trace)
+    assert rho_min == pytest.approx(position.metadata["rho_min"], rel=tol)

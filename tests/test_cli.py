@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pibilliards
 from pibilliards.cli import main
 
 
@@ -173,7 +176,11 @@ def test_bad_params_file_exit_code(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package the suite imports, installed or not
+    src = str(Path(pibilliards.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "pibilliards.cli", "digits", "--N", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "314\n"
