@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bigreal import BigReal
-from .core import BilliardParams, DomainError, _check_beta
+from .core import BilliardParams, DomainError, _check_beta, _check_positive
 from .curves import CurveSeries, _alpha_grid, _eta_grid
 
 # Environment variable capping the interval-arithmetic escalation.
@@ -115,10 +115,9 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     the final count carry no rounding ambiguity at any mass ratio; event
     times and positions are tracked in floats for the trace.
     """
-    if not (x0 > y0 > 0):
-        raise DomainError("need x0 > y0 > 0")
-    if not v0 > 0:
-        raise DomainError("need v0 > 0 (heavy ball moving toward the wall)")
+    _check_positive("v0, x0 and y0", (v0, x0, y0))
+    if not x0 > y0:
+        raise DomainError("need x0 > y0")
 
     # integer masses with a common scale: exact for any float input
     mf, mf2 = Fraction(params.M), Fraction(params.m)
@@ -189,11 +188,11 @@ def count_closed_form(beta: float) -> int:
 
 @dataclass(frozen=True)
 class PiDigitsResult:
-    value: int            # floor(pi * 10**N)
+    value: int            # floor(pi * 10**N) from mpmath, which both floors match
     digits: int           # N
     bits: int             # interval precision that certified the result
     collision_count: int  # route (a): count at beta = arccot(10**N)
-    pi_floor: int         # route (b): independent series floor(pi * 10**N)
+    pi_floor: int         # BigReal interval floor(pi * 10**N)
 
 
 def _pi_floor_independent(digits: int) -> int:
@@ -221,10 +220,11 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     symbolically (count 4 - 1 = 3); for N >= 1 the ratio pi/arctan(10**-N) is
     irrational, so a certified floor is the exact count.
 
-    Route (b): floor(pi * 10**N) from an independent arbitrary-precision
-    series.  The value is returned only when both routes agree.
+    Route (b): floor(pi * 10**N) from mpmath, which must also equal the
+    BigReal interval floor of pi * 10**N at the certifying precision.  The
+    value is returned only when all three agree.
     """
-    if digits < 0 or digits != int(digits):
+    if not 0 <= digits < math.inf or digits != int(digits):
         raise DomainError("N must be a non-negative integer")
     digits = int(digits)
     cap = int(os.environ.get(PRECISION_BITS_ENV, _DEFAULT_PRECISION_CAP))
@@ -245,7 +245,7 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
         if scaled_floor != oracle:
             raise RuntimeError(
                 f"certified interval floor {scaled_floor} disagrees with the "
-                f"independent series floor {oracle}")
+                f"mpmath floor {oracle}")
         if count != oracle:
             raise PiDigitsMismatchError(count, oracle)
         return PiDigitsResult(oracle, digits, bits, count, scaled_floor)

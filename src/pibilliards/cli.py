@@ -7,8 +7,9 @@ is CSV (or JSON with --format json) plus a JSON manifest recording the full
 parameter provenance; runs are deterministic, so identical configurations
 produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 usage error, 3 numerical indeterminacy (an
-uncertified floor or an unachievable accuracy certificate).
+Exit codes: 0 success, 2 usage error or non-finite input, 3 numerical
+indeterminacy (an uncertified floor, an unachievable accuracy certificate, or
+a NaN or infinite value in what would be printed or written).
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .classical import (CollisionTrace, IndeterminateFloorError,
@@ -45,9 +49,10 @@ def _add_geometry(parser: argparse.ArgumentParser, with_params_file: bool = Fals
                            help='JSON file {"M": ..., "m": ..., "hbar": ...}')
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=int, default=12,
-                        help="significant digits in numeric output (default 12)")
+def _add_common(parser: argparse.ArgumentParser, floats: bool = True) -> None:
+    if floats:
+        parser.add_argument("--precision", type=int, default=12,
+                            help="significant digits in numeric output (default 12)")
     parser.add_argument("--manifest", type=Path, default=None,
                         help="override the manifest path")
 
@@ -77,6 +82,12 @@ def _geometry_provenance(args) -> dict:
     return prov
 
 
+def _check_finite(what: str, *values) -> None:
+    """Refuse to print or write anything when a number in ``values`` is NaN or inf."""
+    if bad := sum(np.count_nonzero(~np.isfinite(np.asarray(v, dtype=float))) for v in values):
+        raise FloatingPointError(f"{what}: {bad} value(s) NaN or infinite in double precision")
+
+
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = __version__
@@ -84,6 +95,7 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 
 def _emit_series(series: CurveSeries, args, parameters: dict) -> None:
+    _check_finite(f"{args.command} curve", series.xs, series.ys)
     out: Path = args.out
     if args.format == "json":
         series.to_json(out, sig=args.precision)
@@ -94,19 +106,9 @@ def _emit_series(series: CurveSeries, args, parameters: dict) -> None:
         "command": args.command,
         "parameters": parameters,
         "series_labels": {k: str(v) for k, v in series.labels.items()},
-        "series_metadata": _jsonable(series.metadata),
+        "series_metadata": series.metadata,
         "outputs": [out.name],
     })
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return float(format_sig(obj, 17))
-    return obj
 
 
 def _print_manifest_stderr(command: str, parameters: dict, path: Path | None = None) -> None:
@@ -123,8 +125,8 @@ def _cmd_digits(args) -> int:
     result = pi_digits_detail(args.N)
     print(result.value)
     print(f"certified: {result.bits} bits; collision-count route = "
-          f"{result.collision_count}, series route = {result.pi_floor}",
-          file=sys.stderr)
+          f"{result.collision_count}, interval floor = {result.pi_floor}, "
+          f"mpmath floor = {result.value}", file=sys.stderr)
     _print_manifest_stderr("digits", {"N": args.N, "bits": result.bits}, args.manifest)
     return _EXIT_OK
 
@@ -154,6 +156,9 @@ def _trace_to_csv(trace: CollisionTrace, path: Path, sig: int) -> None:
 def _cmd_simulate(args) -> int:
     params = _geometry_params(args)
     trace = simulate(params, args.v0, args.x0, args.y0)
+    if args.trace is not None:
+        _check_finite("collision trace", trace.max_energy_drift,
+                      [astuple(ev.state_after) for ev in trace.events])
     print(trace.count)
     parameters = {**_geometry_provenance(args), "M": params.M, "m": params.m,
                   "hbar": params.hbar, "v0": args.v0, "x0": args.x0, "y0": args.y0}
@@ -194,6 +199,7 @@ def _cmd_phaseshift(args) -> int:
     beta = _geometry_beta(args)
     delta = phase_shift(args.n, beta)
     diff = phase_shift_difference(beta)
+    _check_finite("phase shift", delta, diff)
     sig = args.precision
     print(f"delta = {format_sig(delta, sig)} ({format_sig(delta / math.pi, sig)} pi)")
     print(f"delta_delta = {format_sig(diff, sig)} ({format_sig(diff / math.pi, sig)} pi)")
@@ -203,15 +209,9 @@ def _cmd_phaseshift(args) -> int:
 
 def _cmd_figures(args) -> int:
     outdir: Path = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
     beta = math.pi / 10
     params = BilliardParams.from_beta(beta)
     samples = args.samples
-    sig = args.precision
-
-    outputs = {}
-    series_meta = {}
-
     bundle = {
         "fig3_classical.csv": classical_curve(params, samples=samples),
         "fig3_n1.csv": sample_curve(SemiclassicalConfig(1, params), grid=samples),
@@ -220,10 +220,10 @@ def _cmd_figures(args) -> int:
         "fig5_l10.csv": sample_quantum_curve(1, beta, grid=samples),
         "fig5_l100.csv": sample_quantum_curve(10, beta, grid=samples),
     }
+    _check_finite("figures", [(s.xs, s.ys) for s in bundle.values()])
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, series in bundle.items():
-        series.to_csv(outdir / name, sig=sig)
-        outputs[name] = series.header()
-        series_meta[name] = _jsonable(series.metadata)
+        series.to_csv(outdir / name, sig=args.precision)
 
     manifest = args.manifest or (outdir / "figures_manifest.json")
     _write_manifest(manifest, {
@@ -232,8 +232,8 @@ def _cmd_figures(args) -> int:
                        "samples": samples, "v0": 1.0, "x0": 10.0, "y0": 1.0,
                        "k": 1.0},
         "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE,
-        "series_metadata": series_meta,
-        "outputs": sorted(outputs),
+        "series_metadata": {name: s.metadata for name, s in bundle.items()},
+        "outputs": sorted(bundle),
     })
     return _EXIT_OK
 
@@ -250,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="certified floor(pi * 10^N)")
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
+    _add_common(p, floats=False)
 
     p = sub.add_parser("count", help="total collision count for a geometry")
     _add_geometry(p)
-    _add_common(p)
+    _add_common(p, floats=False)
 
     p = sub.add_parser("simulate", help="event-driven collision trace")
     _add_geometry(p, with_params_file=True)
@@ -311,7 +311,8 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
         return _HANDLERS[args.command](args)
-    except (IndeterminateFloorError, PiDigitsMismatchError, CylinderPrecisionError) as exc:
+    except (IndeterminateFloorError, PiDigitsMismatchError, CylinderPrecisionError,
+            FloatingPointError, OverflowError) as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE
     except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:

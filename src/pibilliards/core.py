@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Raised when an input lies outside the physically admissible domain."""
@@ -24,14 +26,34 @@ class DomainError(ValueError):
 _REL_SLACK = 1e-12
 
 
+# Each check below fails on NaN (false in every comparison) and on +-inf.
 def _check_quantum_number(n) -> None:
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise DomainError("n must be an integer >= 1")
 
 
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta <= math.pi / 2:
         raise DomainError("beta must lie in (0, pi/2]")
+
+
+def _check_positive(name: str, value, zero_ok: bool = False) -> None:
+    """``value`` (a number or an array) is finite and > 0, or >= 0 with ``zero_ok``."""
+    v = np.asarray(value)
+    if not np.all((v >= 0 if zero_ok else v > 0) & (v < np.inf)):
+        raise DomainError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite")
+
+
+def _check_v_sign(v_sign) -> None:
+    if v_sign not in (-1, 0, 1):
+        raise DomainError("v_sign must be -1, 0 or +1")
+
+
+def _turning_ratio(outer: float, inner: float, name: str, turning: str) -> float:
+    """min(inner/outer, 1) for ``outer`` at or beyond the turning value ``inner``."""
+    if not inner * (1.0 - _REL_SLACK) <= outer < math.inf:
+        raise DomainError(f"{name} must be finite and not below {turning}")
+    return min(inner / outer, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,8 +70,7 @@ class BilliardParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.M > 0 and self.m > 0 and self.hbar > 0):
-            raise DomainError("M, m and hbar must all be positive")
+        _check_positive("M, m and hbar", (self.M, self.m, self.hbar))
 
     @property
     def mass_ratio_root(self) -> float:
@@ -63,8 +84,7 @@ class BilliardParams:
 
     @classmethod
     def from_mass_ratio(cls, ratio: float, m: float = 1.0, hbar: float = 1.0) -> "BilliardParams":
-        if ratio <= 0:
-            raise DomainError("mass ratio must be positive")
+        _check_positive("mass ratio", ratio)
         return cls(M=ratio * m, m=m, hbar=hbar)
 
     @classmethod
@@ -103,8 +123,7 @@ def beta_of_ratio(ratio_root: float) -> float:
     Returns pi/2 for R = 0 (both axes treated alike) and decreases strictly
     toward 0 as R grows; R*beta -> 1 for large R.
     """
-    if ratio_root < 0:
-        raise DomainError("mass-ratio root must be non-negative")
+    _check_positive("mass-ratio root", ratio_root, zero_ok=True)
     return math.atan2(1.0, ratio_root)
 
 

@@ -18,6 +18,12 @@ def _midpoints(samples: int, width: float) -> np.ndarray:
     return (np.arange(samples) + 0.5) * (width / samples)
 
 
+def _gauss_legendre(nodes: int, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the ``nodes``-point Gauss-Legendre rule on [0, width]."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    return width * (t + 1.0) / 2.0, w * width / 2.0
+
+
 def _alpha_grid(samples: int) -> np.ndarray:
     """Midpoint grid over the compactified time (-pi/2, pi/2)."""
     return _midpoints(samples, math.pi) - math.pi / 2

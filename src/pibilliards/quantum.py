@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .core import _REL_SLACK, DomainError, _check_beta, _check_quantum_number
-from .curves import CurveSeries, _eta_grid
+from .core import (DomainError, _check_beta, _check_positive,
+                   _check_quantum_number, _turning_ratio)
+from .curves import CurveSeries, _eta_grid, _gauss_legendre
 
 # Accuracy contract for cylinder-function evaluation (relative).
 CYLINDER_TOLERANCE = 1e-10
@@ -29,6 +30,8 @@ CYLINDER_TOLERANCE = 1e-10
 # similar 8n(n+1)/(2n^2+1)^2 variant fails that check by ~6e-2 already at
 # n = 1 and is rejected.
 AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
+
+_THETA_NODES = 320  # Gauss-Legendre nodes of the mean-angle quadrature
 
 
 class CylinderPrecisionError(RuntimeError):
@@ -48,11 +51,9 @@ class QuantumMode:
     l: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise DomainError("k must be positive")
+        _check_positive("k", self.k)
         _check_quantum_number(self.n)
-        if not self.l > 0:
-            raise DomainError("l must be positive")
+        _check_positive("l", self.l)
 
     @classmethod
     def from_channel(cls, n: int, beta: float, k: float = 1.0) -> "QuantumMode":
@@ -74,10 +75,8 @@ class CylinderValue:
 
 
 def _check_order_argument(nu, x) -> None:
-    if np.any(np.asarray(nu) < 0):
-        raise DomainError("order must be non-negative")
-    if np.any(np.asarray(x) <= 0):
-        raise DomainError("argument must be positive")
+    _check_positive("order", nu, zero_ok=True)
+    _check_positive("argument", x)
 
 
 def cyl_j(nu, x):
@@ -166,17 +165,6 @@ def amplitude_coefficient(n: int) -> float:
     return 8.0 * n * (n + 1) / (2 * n + 1) ** 2
 
 
-def _hankel_pair(n: int, beta: float, k: float, rho):
-    l = n * math.pi / beta
-    lp = (n + 1) * math.pi / beta
-    x = k * np.asarray(rho, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("k * rho must be positive")
-    h_l = _sp.jv(l, x) + 1j * _sp.yv(l, x)
-    h_lp = _sp.jv(lp, x) + 1j * _sp.yv(lp, x)
-    return h_l, h_lp
-
-
 def theta_mean(rho, n: int, beta: float, k: float = 1.0):
     """Mean sector angle of the two-channel incident wave at radius rho.
 
@@ -193,9 +181,10 @@ def theta_mean(rho, n: int, beta: float, k: float = 1.0):
     """
     _check_quantum_number(n)
     _check_beta(beta)
-    if not k > 0:
-        raise DomainError("k must be positive")
-    h_l, h_lp = _hankel_pair(n, beta, k, rho)
+    _check_positive("k", k)
+    x = k * np.asarray(rho, dtype=float)
+    h_l = hankel1(n * math.pi / beta, x)
+    h_lp = hankel1((n + 1) * math.pi / beta, x)
     c = math.pi / (2.0 * beta)
     cross = 2.0 * np.real(np.exp(1j * c * math.pi) * np.conj(h_l) * h_lp)
     dens = np.abs(h_l) ** 2 + np.abs(h_lp) ** 2
@@ -204,26 +193,24 @@ def theta_mean(rho, n: int, beta: float, k: float = 1.0):
 
 
 def theta_mean_quadrature(rho: float, n: int, beta: float, k: float = 1.0,
-                          wave: str = "incident", nodes: int = 320) -> float:
+                          wave: str = "incident") -> float:
     """Mean sector angle by direct quadrature of the wavefunction density.
 
-    Integrates theta |Psi|^2 over the sector for the two-channel incident or
-    outgoing wave.  This path makes no use of the closed form above and also
-    serves as the only exposed route to the outgoing-wave mean angle.
+    Integrates theta |Psi|^2 over the sector (fixed 320-node Gauss-Legendre
+    rule) for the two-channel incident (H1) or outgoing (H2) wave.  This path
+    makes no use of the closed form above and is the only exposed route to
+    the outgoing-wave mean angle.
     """
     _check_quantum_number(n)
     _check_beta(beta)
     if wave not in ("incident", "outgoing"):
         raise DomainError("wave must be 'incident' or 'outgoing'")
-    h_l, h_lp = _hankel_pair(n, beta, k, rho)
-    if wave == "outgoing":
-        h_l, h_lp = np.conj(h_l), np.conj(h_lp)
+    hankel = hankel1 if wave == "incident" else hankel2
     l = n * math.pi / beta
     lp = (n + 1) * math.pi / beta
+    h_l, h_lp = hankel(l, k * rho), hankel(lp, k * rho)
     c = math.pi / (2.0 * beta)
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    theta = beta * (t + 1.0) / 2.0
-    wt = w * beta / 2.0
+    theta, wt = _gauss_legendre(_THETA_NODES, beta)
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)
     density = np.abs(psi) ** 2
     return float(np.sum(wt * theta * density) / np.sum(wt * density))
@@ -232,11 +219,9 @@ def theta_mean_quadrature(rho: float, n: int, beta: float, k: float = 1.0,
 def eta_of(rho: float, l: float, k: float) -> float:
     """Compactified radius arccos(l/(k rho)) in [0, pi/2); zero at the
     turning radius rho = l/k, approaching pi/2 far away."""
-    if not l > 0 or not k > 0:
-        raise DomainError("l and k must be positive")
-    if k * rho < l * (1.0 - _REL_SLACK):
-        raise DomainError("rho below the turning radius l/k")
-    return math.acos(min(l / (k * rho), 1.0))
+    _check_positive("l", l)
+    _check_positive("k", k)
+    return math.acos(_turning_ratio(k * rho, l, "rho", "the turning radius l/k"))
 
 
 def sample_quantum_curve(n: int, beta: float, k: float = 1.0,

@@ -22,8 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REL_SLACK, BilliardParams, DomainError, _check_quantum_number
-from .curves import CurveSeries, _alpha_grid
+from .core import (BilliardParams, _check_positive, _check_quantum_number,
+                   _check_v_sign, _turning_ratio)
+from .curves import CurveSeries, _alpha_grid, _gauss_legendre
+
+_BERRY_NODES = 400  # Gauss-Legendre nodes of the Berry-connection quadrature
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,7 @@ class SemiclassicalConfig:
 
     def __post_init__(self):
         _check_quantum_number(self.n)
-        if not self.x_min > 0:
-            raise DomainError("x_min must be positive")
+        _check_positive("x_min", self.x_min)
 
     @property
     def amplitude_coefficient(self) -> float:
@@ -65,8 +67,7 @@ class SemiclassicalConfig:
 def energy_level(n: int, x: float, params: BilliardParams) -> float:
     """n-th level of an infinite well of width x: (n pi hbar)^2 / (2 m x^2)."""
     _check_quantum_number(n)
-    if not x > 0:
-        raise DomainError("well width must be positive")
+    _check_positive("well width", x)
     return (n * math.pi * params.hbar) ** 2 / (2.0 * params.m * x * x)
 
 
@@ -86,14 +87,11 @@ def berry_phase(n: int) -> float:
     return 0.0
 
 
-def berry_connection(n: int, x: float, nodes: int = 400) -> float:
-    """<psi_n | d/dx psi_n> by Gauss-Legendre quadrature over the well."""
+def berry_connection(n: int, x: float) -> float:
+    """<psi_n | d/dx psi_n> by 400-node Gauss-Legendre quadrature over the well."""
     _check_quantum_number(n)
-    if not x > 0:
-        raise DomainError("well width must be positive")
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    y = x * (t + 1.0) / 2.0
-    wt = w * x / 2.0
+    _check_positive("well width", x)
+    y, wt = _gauss_legendre(_BERRY_NODES, x)
     a = n * math.pi / x
     psi = math.sqrt(2.0 / x) * np.sin(a * y)
     dpsi_dx = -0.5 * math.sqrt(2.0 / x ** 3) * np.sin(a * y) \
@@ -108,9 +106,7 @@ def big_ball_speed(x: float, cfg: SemiclassicalConfig) -> float:
     :attr:`SemiclassicalConfig.asymptotic_speed`; satisfies the bookkeeping
     M v^2 / 2 + (E_n(x) + E_{n+1}(x))/2 = (E_n + E_{n+1})(x_min)/2.
     """
-    if x < cfg.x_min * (1.0 - _REL_SLACK):
-        raise DomainError("x must not be below the retracing point x_min")
-    ratio = min(cfg.x_min / x, 1.0)
+    ratio = _turning_ratio(x, cfg.x_min, "x", "the retracing point x_min")
     return cfg.asymptotic_speed * math.sqrt(max(0.0, 1.0 - ratio * ratio))
 
 
@@ -123,11 +119,8 @@ def accumulated_phase(x: float, cfg: SemiclassicalConfig, v_sign: int) -> float:
     integrating the Bohr frequency with time traded for width through the
     energy-exchange speed law.
     """
-    if v_sign not in (-1, 0, 1):
-        raise DomainError("v_sign must be -1, 0 or +1")
-    if x < cfg.x_min * (1.0 - _REL_SLACK):
-        raise DomainError("x must not be below the retracing point x_min")
-    ratio = min(cfg.x_min / x, 1.0)
+    _check_v_sign(v_sign)
+    ratio = _turning_ratio(x, cfg.x_min, "x", "the retracing point x_min")
     return cfg.phase_prefactor * (math.pi / 2 + v_sign * math.acos(ratio))
 
 
@@ -139,8 +132,7 @@ def total_phase(cfg: SemiclassicalConfig) -> float:
 
 def mean_position(cfg: SemiclassicalConfig, phase: float, x: float) -> float:
     """Mean particle position x/2 - x * A(n) * cos(phase); stays in (0, x)."""
-    if not x > 0:
-        raise DomainError("well width must be positive")
+    _check_positive("well width", x)
     return x / 2.0 - x * cfg.amplitude_coefficient * math.cos(phase)
 
 
@@ -152,13 +144,9 @@ def extremum_count(cfg: SemiclassicalConfig) -> int:
 
 def alpha_of(rho: float, rho_min: float, v_sign: int) -> float:
     """Compactified time sgn(v) * arccos(rho_min/rho) in [-pi/2, pi/2]."""
-    if v_sign not in (-1, 0, 1):
-        raise DomainError("v_sign must be -1, 0 or +1")
-    if not rho_min > 0:
-        raise DomainError("rho_min must be positive")
-    if rho < rho_min * (1.0 - _REL_SLACK):
-        raise DomainError("rho must not be below rho_min")
-    return v_sign * math.acos(min(rho_min / rho, 1.0))
+    _check_v_sign(v_sign)
+    _check_positive("rho_min", rho_min)
+    return v_sign * math.acos(_turning_ratio(rho, rho_min, "rho", "rho_min"))
 
 
 def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:

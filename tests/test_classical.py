@@ -88,6 +88,10 @@ def test_simulate_preconditions():
         simulate(p, -1.0, 10.0, 1.0)
     with pytest.raises(DomainError):
         simulate(p, 1.0, 10.0, 0.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 10.0, 1.0), (1.0, bad, 1.0), (1.0, 10.0, bad)):
+            with pytest.raises(DomainError):
+                simulate(p, *args)
 
 
 # -- closed-form count ----------------------------------------------------------

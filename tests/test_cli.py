@@ -22,6 +22,10 @@ def test_digits_prints_value_and_certificate(capsys):
     assert code == 0
     assert out == "31415\n"
     assert "bits" in err
+    # the three computations, each under its own name
+    assert ("collision-count route = 31415, interval floor = 31415, "
+            "mpmath floor = 31415") in err
+    assert "series route" not in err
 
 
 def test_count_mass_ratio_one(capsys):
@@ -165,6 +169,44 @@ def test_indeterminate_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(["digits", "--N", "4"], capsys)
     assert code == 3
     assert "not certified" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mass-ratio", "inf"],
+    ["simulate", "--N", "1", "--x0", "inf"],
+    ["simulate", "--N", "1", "--v0", "inf"],
+    ["semiclassical", "--N", "1", "--x-min", "inf"],
+    ["quantum", "--N", "1", "--k", "inf"],
+    ["digits", "--N", "3", "--precision", "5"],
+])
+def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, capsys):
+    out_path = tmp_path / "c.csv"
+    if argv[0] in ("semiclassical", "quantum"):
+        argv = [*argv, "--out", str(out_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown option this way
+        code = exc.code
+    assert code == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum", "--n", "7", "--mass-ratio", "1e6", "--samples", "300"],
+    ["phaseshift", "--beta", "1e-320"],
+    ["count", "--beta", "1e-320"],
+    ["simulate", "--N", "1", "--v0", "1e200"],
+])
+def test_nonfinite_output_exit_3(argv, tmp_path, capsys):
+    # NaN or inf in what would be printed or written: nothing is emitted
+    out_path = tmp_path / "q.csv"
+    if argv[0] == "quantum":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("pibilliards: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_params_file_exit_code(tmp_path, capsys):

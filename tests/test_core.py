@@ -24,6 +24,9 @@ def test_beta_of_ratio_matches_series_oracle():
 def test_beta_of_ratio_rejects_negative():
     with pytest.raises(DomainError):
         beta_of_ratio(-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            beta_of_ratio(bad)
 
 
 def test_beta_strictly_decreasing_in_ratio():
@@ -104,6 +107,13 @@ def test_params_validation_and_derived():
         BilliardParams(M=-1.0)
     with pytest.raises(DomainError):
         BilliardParams(m=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            BilliardParams(M=bad)
+        with pytest.raises(DomainError):
+            BilliardParams(hbar=bad)
+        with pytest.raises(DomainError):
+            BilliardParams.from_mass_ratio(bad)
     p = BilliardParams(M=100.0, m=1.0)
     assert p.mass_ratio_root == pytest.approx(10.0)
     assert p.wedge_angle == pytest.approx(math.atan(0.1), rel=1e-15)

@@ -56,6 +56,15 @@ def test_cyl_domain_errors():
         cyl_j(-1.0, 1.0)
     with pytest.raises(DomainError):
         cyl_y(1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            cyl_j(bad, 1.0)
+        with pytest.raises(DomainError):
+            cyl_y(1.0, bad)
+        with pytest.raises(DomainError):
+            cyl_j(1.0, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            theta_mean(bad, 1, BETA10)
 
 
 def test_cylinder_certificate():
@@ -242,6 +251,13 @@ def test_eta_of_values():
     assert eta_of(20.0, 10.0, 1.0) == pytest.approx(math.pi / 3, rel=1e-14)
     with pytest.raises(DomainError):
         eta_of(5.0, 10.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eta_of(bad, 10.0, 1.0)
+        with pytest.raises(DomainError):
+            eta_of(20.0, bad, 1.0)
+        with pytest.raises(DomainError):
+            eta_of(20.0, 10.0, bad)
 
 
 def test_quantum_mode():
@@ -250,6 +266,13 @@ def test_quantum_mode():
     assert mode.turning_radius == pytest.approx(10.0, rel=1e-15)
     with pytest.raises(DomainError):
         QuantumMode(k=0.0, n=1, l=10.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            QuantumMode(k=bad, n=1, l=10.0)
+        with pytest.raises(DomainError):
+            QuantumMode(k=1.0, n=1, l=bad)
+        with pytest.raises(DomainError):
+            theta_mean(20.0, 1, BETA10, k=bad)
 
 
 # -- curves ------------------------------------------------------------------------------

@@ -40,6 +40,9 @@ def test_energy_level_domain():
         energy_level(0, 1.0, p)
     with pytest.raises(DomainError):
         energy_level(1, 0.0, p)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            energy_level(1, bad, p)
 
 
 def test_berry_phase_exact_zero():
@@ -80,6 +83,9 @@ def test_speed_domain():
     cfg = cfg_for(1, 10.0)
     with pytest.raises(DomainError):
         big_ball_speed(0.5 * cfg.x_min, cfg)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            big_ball_speed(bad, cfg)
 
 
 def test_energy_bookkeeping():
@@ -157,6 +163,11 @@ def test_accumulated_phase_domain():
         accumulated_phase(0.5, cfg, -1)
     with pytest.raises(DomainError):
         accumulated_phase(2.0, cfg, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            accumulated_phase(bad, cfg, 1)
+    with pytest.raises(DomainError):
+        accumulated_phase(2.0, cfg, math.nan)
 
 
 # -- mean position ------------------------------------------------------------------
@@ -223,6 +234,11 @@ def test_alpha_of_values():
         alpha_of(0.5, 1.0, 1)
     with pytest.raises(DomainError):
         alpha_of(2.0, 0.0, 1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            alpha_of(bad, 1.0, 1)
+        with pytest.raises(DomainError):
+            alpha_of(2.0, bad, 1)
 
 
 def test_sample_curve_bounds_and_independence():
@@ -248,3 +264,8 @@ def test_config_validation():
         SemiclassicalConfig(0, BilliardParams())
     with pytest.raises(DomainError):
         SemiclassicalConfig(1, BilliardParams(), x_min=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SemiclassicalConfig(1, BilliardParams(), x_min=bad)
+        with pytest.raises(DomainError):
+            SemiclassicalConfig(bad, BilliardParams())
