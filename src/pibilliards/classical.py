@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,11 +28,10 @@ import numpy as np
 
 from .bigreal import BigReal
 from .core import BilliardParams, DomainError, _check_beta, _check_positive
-from .curves import CurveSeries, _alpha_grid, _eta_grid
+from .curves import CurveSeries, _alpha_grid, _eta_grid, _format_int
 
-# Environment variable capping the interval-arithmetic escalation.
-PRECISION_BITS_ENV = "PI_BILLIARDS_PRECISION_BITS"
-_DEFAULT_PRECISION_CAP = 1 << 16
+# Precision doublings allowed past the starting 64 + 10 N bits of pi_digits_detail.
+_MAX_DOUBLINGS = 3
 
 # Relative window inside which pi/beta is treated as an exact integer tie.
 _TIE_REL_TOL = 1e-9
@@ -54,8 +52,8 @@ class PiDigitsMismatchError(RuntimeError):
         self.collision_count = collision_count
         self.pi_floor = pi_floor
         super().__init__(
-            f"collision-count route gives {collision_count}, "
-            f"independent floor(pi*10^N) gives {pi_floor}")
+            f"collision-count route gives {_format_int(collision_count)}, "
+            f"independent floor(pi*10^N) gives {_format_int(pi_floor)}")
 
 
 class CollisionKind(str, enum.Enum):
@@ -113,7 +111,9 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     in exact integer arithmetic (every float input is an exact rational, and
     the elastic update only ever divides by M + m), so the event sequence and
     the final count carry no rounding ambiguity at any mass ratio; event
-    times and positions are tracked in floats for the trace.
+    times and positions are tracked in floats for the trace.  Raises
+    FloatingPointError when the initial kinetic energy underflows to 0, since
+    the relative energy drift is then undefined.
     """
     _check_positive("v0, x0 and y0", (v0, x0, y0))
     if not x0 > y0:
@@ -131,6 +131,8 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     t, x, y = 0.0, float(x0), float(y0)
     initial = ClassicalState(t, x, y, -float(v0), 0.0)
     e0 = initial.kinetic_energy(params)
+    if e0 == 0.0:
+        raise FloatingPointError("initial kinetic energy underflows to 0 in double precision")
 
     guard = 10 * math.ceil(math.pi / params.wedge_angle)
     events = []
@@ -215,8 +217,9 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     """Certified floor(pi * 10**N) computed two independent ways.
 
     Route (a): the closed-form collision count at beta = arccot(10**N),
-    evaluated in interval arithmetic with precision escalated until the floor
-    is certain.  N = 0 is the exact integer tie arccot(1) = pi/4, handled
+    evaluated in interval arithmetic from 64 + 10 N bits, doubled at most
+    ``_MAX_DOUBLINGS`` times until the floor is certain; there is no fixed
+    ceiling on N.  N = 0 is the exact integer tie arccot(1) = pi/4, handled
     symbolically (count 4 - 1 = 3); for N >= 1 the ratio pi/arctan(10**-N) is
     irrational, so a certified floor is the exact count.
 
@@ -227,11 +230,9 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     if not 0 <= digits < math.inf or digits != int(digits):
         raise DomainError("N must be a non-negative integer")
     digits = int(digits)
-    cap = int(os.environ.get(PRECISION_BITS_ENV, _DEFAULT_PRECISION_CAP))
     oracle = _pi_floor_independent(digits)
 
-    bits = 64 + 10 * digits
-    while bits <= cap:
+    for bits in ((64 + 10 * digits) << i for i in range(_MAX_DOUBLINGS + 1)):
         pi_iv = BigReal.pi(bits)
         scaled_floor = pi_iv.scale_int(10 ** digits).floor_certified()
         if digits == 0:
@@ -240,19 +241,17 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
             beta_iv = BigReal.atan_fraction(1, 10 ** digits, bits)
             count = pi_iv.divide(beta_iv).floor_certified()
         if scaled_floor is None or count is None:
-            bits *= 2
             continue
         if scaled_floor != oracle:
             raise RuntimeError(
-                f"certified interval floor {scaled_floor} disagrees with the "
-                f"mpmath floor {oracle}")
+                f"certified interval floor {_format_int(scaled_floor)} disagrees "
+                f"with the mpmath floor {_format_int(oracle)}")
         if count != oracle:
             raise PiDigitsMismatchError(count, oracle)
         return PiDigitsResult(oracle, digits, bits, count, scaled_floor)
 
     raise IndeterminateFloorError(
-        f"floor not certified for N={digits} within {cap} bits "
-        f"(set {PRECISION_BITS_ENV} to raise the ceiling)")
+        f"floor not certified for N={digits} within {bits} bits")
 
 
 def pi_digits(digits: int) -> int:
@@ -269,14 +268,15 @@ def _fold(phi, beta: float):
     return np.where(m > beta, 2.0 * beta - m, m)
 
 
-def _unfolded_metadata(params: BilliardParams, v0: float, x0: float,
-                       y0: float) -> tuple[CollisionTrace, dict]:
+def _unfolded_metadata(params: BilliardParams) -> tuple[CollisionTrace, dict]:
     """The simulated trace and the provenance both curves record.
 
-    Only the count and the energy drift are taken from the trace: its exact
-    integers settle float ties (beta = pi/10 gives 10 collisions where the
-    closed-form count at the exact tie is 9).
+    The trace starts from v0 = 1, x0 = 10, y0 = 1: the curves and the count
+    depend on beta alone.  Only the count and the energy drift are taken from
+    it: its exact integers settle float ties (beta = pi/10 gives 10
+    collisions where the closed-form count at the exact tie is 9).
     """
+    v0, x0, y0 = 1.0, 10.0, 1.0
     trace = simulate(params, v0, x0, y0)
     return trace, {
         "beta": params.wedge_angle,
@@ -287,8 +287,7 @@ def _unfolded_metadata(params: BilliardParams, v0: float, x0: float,
     }
 
 
-def classical_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
-                    y0: float = 1.0, samples: int = 2000) -> CurveSeries:
+def classical_curve(params: BilliardParams, samples: int = 2000) -> CurveSeries:
     """Normalized light-ball position y/x against the compactified time alpha.
 
     alpha = sgn(d rho/dt) * arccos(rho_min/rho) runs over (-pi/2, pi/2) as the
@@ -296,10 +295,10 @@ def classical_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
     corner, and recedes.  The values come from the unfolded straight line,
     y/x = R tan(fold(pi/2 + alpha)); collision events appear as slope breaks
     at alpha_k = k beta - pi/2, recorded in the metadata for k = 1 .. the
-    count of :func:`simulate`.
+    count of :func:`simulate` from the fixed start v0 = 1, x0 = 10, y0 = 1.
     """
     alphas = _alpha_grid(samples)
-    trace, metadata = _unfolded_metadata(params, v0, x0, y0)
+    trace, metadata = _unfolded_metadata(params)
     beta = params.wedge_angle
     ys = params.mass_ratio_root * np.tan(_fold(math.pi / 2 + alphas, beta))
     return CurveSeries(
@@ -313,8 +312,7 @@ def classical_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
         })
 
 
-def classical_eta_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.0,
-                        y0: float = 1.0, samples: int = 2000) -> CurveSeries:
+def classical_eta_curve(params: BilliardParams, samples: int = 2000) -> CurveSeries:
     """Incoming-branch wedge angle theta/beta against eta = arccos(rho_min/rho).
 
     This is the classical reference for the sector-scattering picture: eta
@@ -322,10 +320,10 @@ def classical_eta_curve(params: BilliardParams, v0: float = 1.0, x0: float = 10.
     radius rho_min in place of the quantum one, and only the approach branch
     (the analogue of the incident wave) is emitted.  On that branch
     alpha = -eta, so the unfolded line gives theta/beta = fold(pi/2 - eta)/beta;
-    the collision count comes from :func:`simulate`.
+    the collision count comes from the same fixed :func:`simulate` run.
     """
     etas = _eta_grid(samples)
-    _, metadata = _unfolded_metadata(params, v0, x0, y0)
+    _, metadata = _unfolded_metadata(params)
     beta = params.wedge_angle
     return CurveSeries(
         abscissa="eta", ordinate="theta_over_beta", xs=etas,

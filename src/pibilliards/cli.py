@@ -29,7 +29,7 @@ from .classical import (CollisionTrace, IndeterminateFloorError,
                         classical_eta_curve, count_closed_form, pi_digits_detail,
                         simulate)
 from .core import BilliardParams, DomainError, _check_beta
-from .curves import CurveSeries, format_sig
+from .curves import CurveSeries, _format_int, format_sig
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, CylinderPrecisionError,
                       phase_shift, phase_shift_difference, sample_quantum_curve)
 from .semiclassical import SemiclassicalConfig, sample_curve
@@ -115,7 +115,7 @@ def _print_manifest_stderr(command: str, parameters: dict, path: Path | None = N
     payload = {"command": command, "parameters": parameters, "version": __version__}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     if path is not None:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_manifest(path, payload)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -123,10 +123,11 @@ def _print_manifest_stderr(command: str, parameters: dict, path: Path | None = N
 
 def _cmd_digits(args) -> int:
     result = pi_digits_detail(args.N)
-    print(result.value)
+    print(_format_int(result.value))
     print(f"certified: {result.bits} bits; collision-count route = "
-          f"{result.collision_count}, interval floor = {result.pi_floor}, "
-          f"mpmath floor = {result.value}", file=sys.stderr)
+          f"{_format_int(result.collision_count)}, interval floor = "
+          f"{_format_int(result.pi_floor)}, mpmath floor = {_format_int(result.value)}",
+          file=sys.stderr)
     _print_manifest_stderr("digits", {"N": args.N, "bits": result.bits}, args.manifest)
     return _EXIT_OK
 
@@ -138,7 +139,7 @@ def _cmd_count(args) -> int:
         count = result.collision_count
     else:
         count = count_closed_form(_geometry_beta(args))
-    print(count)
+    print(_format_int(count))
     _print_manifest_stderr("count", _geometry_provenance(args), args.manifest)
     return _EXIT_OK
 
@@ -178,19 +179,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_semiclassical(args) -> int:
-    params = _geometry_params(args)
-    cfg = SemiclassicalConfig(n=args.n, params=params, x_min=args.x_min)
+    cfg = SemiclassicalConfig(n=args.n, params=_geometry_params(args))
     series = sample_curve(cfg, grid=args.samples)
     _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                "x_min": args.x_min, "samples": args.samples})
+                                "samples": args.samples})
     return _EXIT_OK
 
 
 def _cmd_quantum(args) -> int:
     beta = _geometry_beta(args)
-    series = sample_quantum_curve(args.n, beta, k=args.k, grid=args.samples)
+    series = sample_quantum_curve(args.n, beta, grid=args.samples)
     _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                "k": args.k, "samples": args.samples,
+                                "samples": args.samples,
                                 "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE})
     return _EXIT_OK
 
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semiclassical", help="mean-position oscillation curve")
     _add_geometry(p)
     p.add_argument("--n", type=int, default=1, help="lower quantum number")
-    p.add_argument("--x-min", type=float, default=1.0, dest="x_min")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum", help="mean-angle oscillation curve")
     _add_geometry(p)
     p.add_argument("--n", type=int, default=1, help="channel index")
-    p.add_argument("--k", type=float, default=1.0, help="radial wavenumber")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -310,7 +308,9 @@ _HANDLERS = {
 def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
-        return _HANDLERS[args.command](args)
+        # NaN/inf results are reported by _check_finite, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args)
     except (IndeterminateFloorError, PiDigitsMismatchError, CylinderPrecisionError,
             FloatingPointError, OverflowError) as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)

@@ -37,6 +37,12 @@ def _check_beta(beta: float) -> None:
         raise DomainError("beta must lie in (0, pi/2]")
 
 
+def _check_real(name: str, value) -> None:
+    """``value`` (a number or an array) is neither NaN nor +-inf."""
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{name} must be finite")
+
+
 def _check_positive(name: str, value, zero_ok: bool = False) -> None:
     """``value`` (a number or an array) is finite and > 0, or >= 0 with ``zero_ok``."""
     v = np.asarray(value)
@@ -83,18 +89,19 @@ class BilliardParams:
         return beta_of_ratio(self.mass_ratio_root)
 
     @classmethod
-    def from_mass_ratio(cls, ratio: float, m: float = 1.0, hbar: float = 1.0) -> "BilliardParams":
+    def from_mass_ratio(cls, ratio: float) -> "BilliardParams":
+        """Parameters with M/m = ``ratio``, m = 1 and hbar = 1."""
         _check_positive("mass ratio", ratio)
-        return cls(M=ratio * m, m=m, hbar=hbar)
+        return cls(M=ratio)
 
     @classmethod
-    def from_beta(cls, beta: float, m: float = 1.0, hbar: float = 1.0) -> "BilliardParams":
-        """Parameters whose wedge angle is ``beta``; requires 0 < beta < pi/2."""
+    def from_beta(cls, beta: float) -> "BilliardParams":
+        """Parameters whose wedge angle is ``beta`` (0 < beta < pi/2), m = 1 and hbar = 1."""
         # open at pi/2: M = 0 there, but 1/tan(pi/2) is 6e-17 in floats, not 0
         if not 0.0 < beta < math.pi / 2:
             raise DomainError("beta must lie in (0, pi/2) to define finite masses")
         r = 1.0 / math.tan(beta)
-        return cls(M=r * r * m, m=m, hbar=hbar)
+        return cls(M=r * r)
 
     @classmethod
     def from_json(cls, text: str) -> "BilliardParams":
@@ -134,6 +141,7 @@ def to_polar(x: float, y: float, params: BilliardParams) -> PolarPoint:
     admissible strip 0 <= y <= x becomes 0 <= theta <= beta.  The degenerate
     origin maps to (0, 0) by convention.
     """
+    _check_real("x and y", (x, y))
     slack = _REL_SLACK * max(abs(x), 1.0)
     if y < -slack or y > x + slack:
         raise DomainError(f"inadmissible configuration: need 0 <= y <= x, got x={x}, y={y}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,6 +38,12 @@ def _eta_grid(samples: int) -> np.ndarray:
 def format_sig(value, sig: int = 12) -> str:
     """Format a number with ``sig`` significant digits."""
     return f"{value:.{sig}g}"
+
+
+def _format_int(value: int) -> str:
+    """All decimal digits of ``value``; unlike str(), not bounded by
+    sys.get_int_max_str_digits() (4300 digits by default)."""
+    return str(decimal.Decimal(value))
 
 
 @dataclass

@@ -165,7 +165,7 @@ def amplitude_coefficient(n: int) -> float:
     return 8.0 * n * (n + 1) / (2 * n + 1) ** 2
 
 
-def theta_mean(rho, n: int, beta: float, k: float = 1.0):
+def theta_mean(rho, n: int, beta: float):
     """Mean sector angle of the two-channel incident wave at radius rho.
 
     The superposition weights channel n+1 with the fixed relative phase
@@ -175,14 +175,14 @@ def theta_mean(rho, n: int, beta: float, k: float = 1.0):
         beta/2 - (beta/pi^2) C(n)
                  * 2 Re[exp(i c pi) conj(H1_l) H1_l'] / (|H1_l|^2 + |H1_l'|^2)
 
-    with C(n) = 8n(n+1)/(2n+1)^2 and c = pi/(2 beta).  Valid for any rho > 0;
-    below the turning radius l/k the channel-(n+1) wave is evanescent and the
-    result flattens to beta/2.
+    with C(n) = 8n(n+1)/(2n+1)^2 and c = pi/(2 beta).  ``rho`` is the
+    dimensionless radius k rho, the only way the wavenumber enters.  Valid for
+    any rho > 0; below the turning radius l the channel-(n+1) wave is
+    evanescent and the result flattens to beta/2.
     """
     _check_quantum_number(n)
     _check_beta(beta)
-    _check_positive("k", k)
-    x = k * np.asarray(rho, dtype=float)
+    x = np.asarray(rho, dtype=float)
     h_l = hankel1(n * math.pi / beta, x)
     h_lp = hankel1((n + 1) * math.pi / beta, x)
     c = math.pi / (2.0 * beta)
@@ -192,12 +192,13 @@ def theta_mean(rho, n: int, beta: float, k: float = 1.0):
     return float(out) if np.isscalar(rho) else out
 
 
-def theta_mean_quadrature(rho: float, n: int, beta: float, k: float = 1.0,
+def theta_mean_quadrature(rho: float, n: int, beta: float,
                           wave: str = "incident") -> float:
     """Mean sector angle by direct quadrature of the wavefunction density.
 
     Integrates theta |Psi|^2 over the sector (fixed 320-node Gauss-Legendre
-    rule) for the two-channel incident (H1) or outgoing (H2) wave.  This path
+    rule) for the two-channel incident (H1) or outgoing (H2) wave at the
+    dimensionless radius ``rho`` = k rho, as in :func:`theta_mean`.  This path
     makes no use of the closed form above and is the only exposed route to
     the outgoing-wave mean angle.
     """
@@ -208,7 +209,7 @@ def theta_mean_quadrature(rho: float, n: int, beta: float, k: float = 1.0,
     hankel = hankel1 if wave == "incident" else hankel2
     l = n * math.pi / beta
     lp = (n + 1) * math.pi / beta
-    h_l, h_lp = hankel(l, k * rho), hankel(lp, k * rho)
+    h_l, h_lp = hankel(l, rho), hankel(lp, rho)
     c = math.pi / (2.0 * beta)
     theta, wt = _gauss_legendre(_THETA_NODES, beta)
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)
@@ -224,10 +225,9 @@ def eta_of(rho: float, l: float, k: float) -> float:
     return math.acos(_turning_ratio(k * rho, l, "rho", "the turning radius l/k"))
 
 
-def sample_quantum_curve(n: int, beta: float, k: float = 1.0,
-                         grid: int = 2000) -> CurveSeries:
+def sample_quantum_curve(n: int, beta: float, grid: int = 2000) -> CurveSeries:
     """Normalized mean angle against eta over (0, pi/2) for channel pair
-    (n, n+1).
+    (n, n+1), sampled at the dimensionless radii k rho = l / cos(eta).
 
     Reproduces the sector-scattering oscillation curves: a stationary region
     near eta = 0 (whose width shrinks as l grows) followed by oscillations
@@ -236,15 +236,15 @@ def sample_quantum_curve(n: int, beta: float, k: float = 1.0,
     etas = _eta_grid(grid)
     _check_beta(beta)
     l = n * math.pi / beta
-    rhos = l / (k * np.cos(etas))
-    ys = theta_mean(rhos, n, beta, k) / beta
+    rhos = l / np.cos(etas)
+    ys = theta_mean(rhos, n, beta) / beta
     return CurveSeries(
         abscissa="eta", ordinate="theta_over_beta", xs=etas, ys=ys,
         labels={"model": "quantum", "l": f"{l:.12g}"},
         metadata={
             "n": n,
             "beta": beta,
-            "k": k,
+            "k": 1.0,  # the radii are in units of 1/k
             "l": l,
             "l_next": (n + 1) * math.pi / beta,
             "relative_phase_c": math.pi / (2.0 * beta),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BilliardParams, _check_positive, _check_quantum_number,
-                   _check_v_sign, _turning_ratio)
+                   _check_real, _check_v_sign, _turning_ratio)
 from .curves import CurveSeries, _alpha_grid, _gauss_legendre
 
 _BERRY_NODES = 400  # Gauss-Legendre nodes of the Berry-connection quadrature
@@ -133,6 +133,7 @@ def total_phase(cfg: SemiclassicalConfig) -> float:
 def mean_position(cfg: SemiclassicalConfig, phase: float, x: float) -> float:
     """Mean particle position x/2 - x * A(n) * cos(phase); stays in (0, x)."""
     _check_positive("well width", x)
+    _check_real("phase", phase)
     return x / 2.0 - x * cfg.amplitude_coefficient * math.cos(phase)
 
 

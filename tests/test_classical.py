@@ -14,7 +14,7 @@ from pibilliards import (BilliardParams, CollisionKind, DomainError,
                          classical_curve, classical_eta_curve,
                          count_closed_form, pi_digits, pi_digits_detail,
                          simulate, to_polar)
-from pibilliards.classical import PRECISION_BITS_ENV
+from pibilliards.bigreal import BigReal
 
 EPS = np.finfo(float).eps
 
@@ -147,10 +147,19 @@ def test_pi_digits_rejects_negative():
         pi_digits(-1)
 
 
+def test_pi_digits_beyond_former_precision_cap():
+    # 64 + 10 N bits certify at once; a fixed 65536-bit cap stopped near N = 6500
+    detail = pi_digits_detail(6600)
+    assert detail.bits == 66064
+    assert detail.collision_count == detail.pi_floor == detail.value
+    assert detail.value // 10 ** 6580 == 314159265358979323846
+
+
 def test_pi_digits_precision_ceiling(monkeypatch):
-    monkeypatch.setenv(PRECISION_BITS_ENV, "70")
-    with pytest.raises(IndeterminateFloorError):
-        pi_digits_detail(4)   # needs ~104 bits, ceiling at 70
+    # a floor that no precision certifies ends after the last doubling
+    monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
+    with pytest.raises(IndeterminateFloorError, match="not certified"):
+        pi_digits_detail(4)
 
 
 # -- trajectory curves ------------------------------------------------------------
@@ -227,7 +236,7 @@ def test_events_land_on_unfolded_crossings(ratio):
     p = BilliardParams.from_mass_ratio(ratio)
     v0, x0, y0 = 1.0, 10.0, 1.0
     trace = simulate(p, v0, x0, y0)
-    crossings = classical_curve(p, v0, x0, y0, samples=2).metadata["collision_alphas"]
+    crossings = classical_curve(p, samples=2).metadata["collision_alphas"]
     assert len(crossings) == trace.count
     rho_min, t_star = math.sqrt(p.m) * y0, x0 / v0
     # relative rho error of the event states; d alpha = d rho / (rho tan alpha)

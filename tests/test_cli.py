@@ -28,6 +28,21 @@ def test_digits_prints_value_and_certificate(capsys):
     assert "series route" not in err
 
 
+def test_digits_beyond_int_str_limit(capsys):
+    # more digits than str(int) allows; the interpreter-wide limit stays put
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(["digits", "--N", "700"], capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(out) == 702 and out.startswith("31415926535897932384")
+    assert int(out) == pibilliards.pi_digits(700)
+    assert f"mpmath floor = {out.strip()}" in err
+
+
 def test_count_mass_ratio_one(capsys):
     code, out, _ = run_cli(["count", "--mass-ratio", "1"], capsys)
     assert code == 0
@@ -164,8 +179,8 @@ def test_precision_flag(tmp_path, capsys):
 
 
 def test_indeterminate_exit_code(monkeypatch, capsys):
-    from pibilliards.classical import PRECISION_BITS_ENV
-    monkeypatch.setenv(PRECISION_BITS_ENV, "70")
+    from pibilliards.bigreal import BigReal
+    monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
     code, _, err = run_cli(["digits", "--N", "4"], capsys)
     assert code == 3
     assert "not certified" in err
@@ -175,8 +190,8 @@ def test_indeterminate_exit_code(monkeypatch, capsys):
     ["simulate", "--mass-ratio", "inf"],
     ["simulate", "--N", "1", "--x0", "inf"],
     ["simulate", "--N", "1", "--v0", "inf"],
-    ["semiclassical", "--N", "1", "--x-min", "inf"],
-    ["quantum", "--N", "1", "--k", "inf"],
+    ["semiclassical", "--N", "1", "--x-min", "inf"],  # no such option: no output depends on x_min
+    ["quantum", "--N", "1", "--k", "inf"],  # no such option: the curve depends on k rho only
     ["digits", "--N", "3", "--precision", "5"],
 ])
 def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, capsys):
@@ -196,6 +211,7 @@ def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, capsys):
     ["phaseshift", "--beta", "1e-320"],
     ["count", "--beta", "1e-320"],
     ["simulate", "--N", "1", "--v0", "1e200"],
+    ["simulate", "--N", "1", "--v0", "1e-300"],  # initial energy underflows to 0
 ])
 def test_nonfinite_output_exit_3(argv, tmp_path, capsys):
     # NaN or inf in what would be printed or written: nothing is emitted

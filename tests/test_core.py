@@ -68,6 +68,9 @@ def test_to_polar_rejects_inadmissible():
         to_polar(1.0, -0.5, params)
     with pytest.raises(DomainError):
         to_polar(1.0, 1.5, params)
+    for x, y in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(DomainError):
+            to_polar(x, y, params)
 
 
 def test_polar_round_trip():

@@ -271,8 +271,6 @@ def test_quantum_mode():
             QuantumMode(k=bad, n=1, l=10.0)
         with pytest.raises(DomainError):
             QuantumMode(k=1.0, n=1, l=bad)
-        with pytest.raises(DomainError):
-            theta_mean(20.0, 1, BETA10, k=bad)
 
 
 # -- curves ------------------------------------------------------------------------------

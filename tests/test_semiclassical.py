@@ -197,6 +197,15 @@ def test_mean_position_strictly_inside_well():
             assert 0.0 < mean_position(cfg, float(phase), 1.0) < 1.0
 
 
+def test_mean_position_domain():
+    cfg = cfg_for(1, 10.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            mean_position(cfg, bad, 1.0)
+        with pytest.raises(DomainError):
+            mean_position(cfg, 0.5, bad)
+
+
 def test_amplitude_coefficient_limit():
     # 8n(n+1)/(2n+1)^2 -> 2, so the normalized amplitude tends to 2/pi^2
     n = 10 ** 6
