@@ -14,15 +14,15 @@ from .core import (BilliardParams, DomainError, PolarPoint, beta_of_ratio,
                    from_polar, to_polar)
 from .curves import CurveSeries, count_extrema, first_extremum_abscissa
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, AsymptoticValidityError,
-                      CylinderPrecisionError, CylinderValue, QuantumMode,
+                      CylinderPrecisionError, CylinderValue,
                       amplitude_coefficient, cyl_j, cyl_y, cylinder, eta_of,
                       hankel1, hankel2, hankel_asymptotic, phase_shift,
                       phase_shift_difference, sample_quantum_curve, theta_mean,
                       theta_mean_quadrature)
 from .semiclassical import (SemiclassicalConfig, accumulated_phase, alpha_of,
-                            berry_connection, berry_phase, big_ball_speed,
-                            energy_level, extremum_count, mean_position,
-                            sample_curve, total_phase, two_level_energy)
+                            berry_connection, big_ball_speed, energy_level,
+                            extremum_count, mean_position, sample_curve,
+                            total_phase, two_level_energy)
 
 __all__ = [
     "__version__",
@@ -35,10 +35,10 @@ __all__ = [
     "PiDigitsMismatchError", "PiDigitsResult",
     "simulate", "count_closed_form", "pi_digits", "pi_digits_detail",
     "classical_curve", "classical_eta_curve",
-    "SemiclassicalConfig", "energy_level", "two_level_energy", "berry_phase",
+    "SemiclassicalConfig", "energy_level", "two_level_energy",
     "berry_connection", "big_ball_speed", "accumulated_phase", "total_phase",
     "mean_position", "extremum_count", "alpha_of", "sample_curve",
-    "QuantumMode", "CylinderValue", "CylinderPrecisionError",
+    "CylinderValue", "CylinderPrecisionError",
     "AsymptoticValidityError", "AMPLITUDE_COEFFICIENT_RULE",
     "amplitude_coefficient", "cyl_j", "cyl_y", "cylinder",
     "hankel1", "hankel2", "hankel_asymptotic",

@@ -33,8 +33,8 @@ from .curves import CurveSeries, _alpha_grid, _eta_grid, _format_int
 # Precision doublings allowed past the starting 64 + 10 N bits of pi_digits_detail.
 _MAX_DOUBLINGS = 3
 
-# Relative window inside which pi/beta is treated as an exact integer tie.
-_TIE_REL_TOL = 1e-9
+# Absolute window inside which pi/beta is treated as an exact integer tie.
+_TIE_ABS_TOL = 1e-9
 
 
 class SimulationConsistencyError(RuntimeError):
@@ -88,10 +88,6 @@ class CollisionTrace:
     events: tuple[CollisionEvent, ...]
     count: int
     max_energy_drift: float
-
-    @property
-    def final(self) -> ClassicalState:
-        return self.events[-1].state_after if self.events else self.initial
 
 
 def _int_ratio_float(num: int, den: int) -> float:
@@ -173,14 +169,14 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
 def count_closed_form(beta: float) -> int:
     """Collision count floor(pi/beta), with pi/beta - 1 at exact integer ties.
 
-    pi/beta within a relative 1e-9 of an integer is snapped to the tie: for
+    pi/beta within an absolute 1e-9 of an integer is snapped to the tie: for
     those geometries (beta = pi/4, pi/6, ...) the final boundary ray of the
     unfolded wedge is grazed, not crossed, so the count drops by one.
     """
     _check_beta(beta)
     q = math.pi / beta
     nearest = round(q)
-    if abs(q - nearest) <= _TIE_REL_TOL * max(1.0, q):
+    if abs(q - nearest) <= _TIE_ABS_TOL:
         return int(nearest) - 1
     return math.floor(q)
 

@@ -8,8 +8,8 @@ parameter provenance; runs are deterministic, so identical configurations
 produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error or non-finite input, 3 numerical
-indeterminacy (an uncertified floor, an unachievable accuracy certificate, or
-a NaN or infinite value in what would be printed or written).
+indeterminacy (an uncertified floor, or a NaN or infinite value in what would
+be printed or written).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .classical import (CollisionTrace, IndeterminateFloorError,
                         simulate)
 from .core import BilliardParams, DomainError, _check_beta
 from .curves import CurveSeries, _format_int, format_sig
-from .quantum import (AMPLITUDE_COEFFICIENT_RULE, CylinderPrecisionError,
-                      phase_shift, phase_shift_difference, sample_quantum_curve)
+from .quantum import (AMPLITUDE_COEFFICIENT_RULE, phase_shift,
+                      phase_shift_difference, sample_quantum_curve)
 from .semiclassical import SemiclassicalConfig, sample_curve
 
 _EXIT_OK = 0
@@ -88,34 +88,39 @@ def _check_finite(what: str, *values) -> None:
         raise FloatingPointError(f"{what}: {bad} value(s) NaN or infinite in double precision")
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _finish(args, parameters: dict, outputs: list[Path] | None = None,
+            manifest: Path | None = None, **record) -> int:
+    """Record the run's provenance and return the success status.
+
+    The payload is the command, its ``parameters``, any further ``record``
+    entries, the names of the ``outputs`` written and the package version.
+    A run that writes files stores it in ``--manifest``, else in ``manifest``,
+    else beside its first output as ``<name>.manifest.json``.  A run that only
+    prints writes it as one JSON line on stderr, and also to ``--manifest``.
+    """
+    payload = {"command": args.command, "parameters": parameters, **record,
+               "version": __version__}
+    path = args.manifest
+    if outputs:
+        payload["outputs"] = sorted(out.name for out in outputs)
+        path = path or manifest or outputs[0].with_name(outputs[0].name + ".manifest.json")
+    else:
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    if path is not None:
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _EXIT_OK
 
 
-def _emit_series(series: CurveSeries, args, parameters: dict) -> None:
+def _emit_series(series: CurveSeries, args, parameters: dict) -> int:
     _check_finite(f"{args.command} curve", series.xs, series.ys)
     out: Path = args.out
     if args.format == "json":
         series.to_json(out, sig=args.precision)
     else:
         series.to_csv(out, sig=args.precision)
-    manifest = args.manifest or out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": args.command,
-        "parameters": parameters,
-        "series_labels": {k: str(v) for k, v in series.labels.items()},
-        "series_metadata": series.metadata,
-        "outputs": [out.name],
-    })
-
-
-def _print_manifest_stderr(command: str, parameters: dict, path: Path | None = None) -> None:
-    payload = {"command": command, "parameters": parameters, "version": __version__}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    if path is not None:
-        _write_manifest(path, payload)
+    return _finish(args, parameters, [out],
+                   series_labels={k: str(v) for k, v in series.labels.items()},
+                   series_metadata=series.metadata)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -128,8 +133,7 @@ def _cmd_digits(args) -> int:
           f"{_format_int(result.collision_count)}, interval floor = "
           f"{_format_int(result.pi_floor)}, mpmath floor = {_format_int(result.value)}",
           file=sys.stderr)
-    _print_manifest_stderr("digits", {"N": args.N, "bits": result.bits}, args.manifest)
-    return _EXIT_OK
+    return _finish(args, {"N": args.N, "bits": result.bits})
 
 
 def _cmd_count(args) -> int:
@@ -140,8 +144,7 @@ def _cmd_count(args) -> int:
     else:
         count = count_closed_form(_geometry_beta(args))
     print(_format_int(count))
-    _print_manifest_stderr("count", _geometry_provenance(args), args.manifest)
-    return _EXIT_OK
+    return _finish(args, _geometry_provenance(args))
 
 
 def _trace_to_csv(trace: CollisionTrace, path: Path, sig: int) -> None:
@@ -163,36 +166,26 @@ def _cmd_simulate(args) -> int:
     print(trace.count)
     parameters = {**_geometry_provenance(args), "M": params.M, "m": params.m,
                   "hbar": params.hbar, "v0": args.v0, "x0": args.x0, "y0": args.y0}
-    if args.trace is not None:
-        _trace_to_csv(trace, args.trace, args.precision)
-        manifest = args.manifest or args.trace.with_name(args.trace.name + ".manifest.json")
-        _write_manifest(manifest, {
-            "command": "simulate",
-            "parameters": parameters,
-            "collision_count": trace.count,
-            "max_energy_drift": trace.max_energy_drift,
-            "outputs": [args.trace.name],
-        })
-    else:
-        _print_manifest_stderr("simulate", parameters, args.manifest)
-    return _EXIT_OK
+    if args.trace is None:
+        return _finish(args, parameters)
+    _trace_to_csv(trace, args.trace, args.precision)
+    return _finish(args, parameters, [args.trace], collision_count=trace.count,
+                   max_energy_drift=trace.max_energy_drift)
 
 
 def _cmd_semiclassical(args) -> int:
     cfg = SemiclassicalConfig(n=args.n, params=_geometry_params(args))
     series = sample_curve(cfg, grid=args.samples)
-    _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                "samples": args.samples})
-    return _EXIT_OK
+    return _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
+                                       "samples": args.samples})
 
 
 def _cmd_quantum(args) -> int:
     beta = _geometry_beta(args)
     series = sample_quantum_curve(args.n, beta, grid=args.samples)
-    _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                "samples": args.samples,
-                                "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE})
-    return _EXIT_OK
+    return _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
+                                       "samples": args.samples,
+                                       "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE})
 
 
 def _cmd_phaseshift(args) -> int:
@@ -203,8 +196,7 @@ def _cmd_phaseshift(args) -> int:
     sig = args.precision
     print(f"delta = {format_sig(delta, sig)} ({format_sig(delta / math.pi, sig)} pi)")
     print(f"delta_delta = {format_sig(diff, sig)} ({format_sig(diff / math.pi, sig)} pi)")
-    _print_manifest_stderr("phaseshift", {**_geometry_provenance(args), "n": args.n}, args.manifest)
-    return _EXIT_OK
+    return _finish(args, {**_geometry_provenance(args), "n": args.n})
 
 
 def _cmd_figures(args) -> int:
@@ -224,18 +216,11 @@ def _cmd_figures(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, series in bundle.items():
         series.to_csv(outdir / name, sig=args.precision)
-
-    manifest = args.manifest or (outdir / "figures_manifest.json")
-    _write_manifest(manifest, {
-        "command": "figures",
-        "parameters": {"beta": beta, "mass_ratio": params.M / params.m,
-                       "samples": samples, "v0": 1.0, "x0": 10.0, "y0": 1.0,
-                       "k": 1.0},
-        "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE,
-        "series_metadata": {name: s.metadata for name, s in bundle.items()},
-        "outputs": sorted(bundle),
-    })
-    return _EXIT_OK
+    return _finish(args, {"beta": beta, "mass_ratio": params.M / params.m,
+                          "samples": samples, "v0": 1.0, "x0": 10.0, "y0": 1.0, "k": 1.0},
+                   [outdir / name for name in bundle], outdir / "figures_manifest.json",
+                   amplitude_coefficient_rule=AMPLITUDE_COEFFICIENT_RULE,
+                   series_metadata={name: s.metadata for name, s in bundle.items()})
 
 
 # -- parser -------------------------------------------------------------------
@@ -311,8 +296,8 @@ def run(args: argparse.Namespace) -> int:
         # NaN/inf results are reported by _check_finite, not as numpy warnings
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args)
-    except (IndeterminateFloorError, PiDigitsMismatchError, CylinderPrecisionError,
-            FloatingPointError, OverflowError) as exc:
+    except (IndeterminateFloorError, PiDigitsMismatchError, FloatingPointError,
+            OverflowError) as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE
     except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -138,15 +138,17 @@ def to_polar(x: float, y: float, params: BilliardParams) -> PolarPoint:
     """Map ball positions (x, y) to the wedge point (rho, theta).
 
     rho = sqrt(M x^2 + m y^2) and theta = atan2(sqrt(m) y, sqrt(M) x), so the
-    admissible strip 0 <= y <= x becomes 0 <= theta <= beta.  The degenerate
-    origin maps to (0, 0) by convention.
+    admissible strip 0 <= y <= x becomes 0 <= theta <= beta.  A point outside
+    the strip by no more than the rounding slack is clamped onto it.  The
+    degenerate origin maps to (0, 0) by convention.
     """
     _check_real("x and y", (x, y))
     slack = _REL_SLACK * max(abs(x), 1.0)
     if y < -slack or y > x + slack:
         raise DomainError(f"inadmissible configuration: need 0 <= y <= x, got x={x}, y={y}")
+    x = max(x, 0.0)
     u = math.sqrt(params.M) * x
-    w = math.sqrt(params.m) * max(y, 0.0)
+    w = math.sqrt(params.m) * min(max(y, 0.0), x)
     return PolarPoint(rho=math.hypot(u, w), theta=math.atan2(w, u))
 
 

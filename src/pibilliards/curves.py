@@ -78,17 +78,15 @@ class CurveSeries:
             for x, y in zip(self.xs, self.ys):
                 fh.write(",".join([format_sig(x, sig), format_sig(y, sig), *tail]) + "\n")
 
-    def to_json_dict(self, sig: int = 12) -> dict:
-        return {
+    def to_json(self, path, sig: int = 12) -> None:
+        payload = {
             "columns": self.header(),
             "labels": {k: str(v) for k, v in self.labels.items()},
             "rows": [[float(format_sig(x, sig)), float(format_sig(y, sig))]
                      for x, y in zip(self.xs, self.ys)],
         }
-
-    def to_json(self, path, sig: int = 12) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(sig), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

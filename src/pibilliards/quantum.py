@@ -43,29 +43,6 @@ class AsymptoticValidityError(DomainError):
 
 
 @dataclass(frozen=True)
-class QuantumMode:
-    """Radial wavenumber, channel index and angular order of a sector mode."""
-
-    k: float
-    n: int
-    l: float
-
-    def __post_init__(self):
-        _check_positive("k", self.k)
-        _check_quantum_number(self.n)
-        _check_positive("l", self.l)
-
-    @classmethod
-    def from_channel(cls, n: int, beta: float, k: float = 1.0) -> "QuantumMode":
-        _check_beta(beta)
-        return cls(k=k, n=n, l=n * math.pi / beta)
-
-    @property
-    def turning_radius(self) -> float:
-        return self.l / self.k
-
-
-@dataclass(frozen=True)
 class CylinderValue:
     """J and Y at one (order, argument) point with a certified relative bound."""
 
@@ -217,12 +194,12 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
     return float(np.sum(wt * theta * density) / np.sum(wt * density))
 
 
-def eta_of(rho: float, l: float, k: float) -> float:
-    """Compactified radius arccos(l/(k rho)) in [0, pi/2); zero at the
-    turning radius rho = l/k, approaching pi/2 far away."""
+def eta_of(rho: float, l: float) -> float:
+    """Compactified radius arccos(l/rho) in [0, pi/2) at the dimensionless
+    radius ``rho`` = k rho; zero at the turning radius rho = l, approaching
+    pi/2 far away."""
     _check_positive("l", l)
-    _check_positive("k", k)
-    return math.acos(_turning_ratio(k * rho, l, "rho", "the turning radius l/k"))
+    return math.acos(_turning_ratio(rho, l, "rho", "the turning radius l"))
 
 
 def sample_quantum_curve(n: int, beta: float, grid: int = 2000) -> CurveSeries:

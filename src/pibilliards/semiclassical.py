@@ -77,18 +77,12 @@ def two_level_energy(x: float, cfg: SemiclassicalConfig) -> float:
                   energy_level(cfg.n + 1, x, cfg.params))
 
 
-def berry_phase(n: int) -> float:
-    """Geometric phase of an instantaneous well eigenstate: identically zero.
-
-    The eigenfunctions are real, so the geometric connection <psi | d psi>
-    vanishes; :func:`berry_connection` exposes the quadrature cross-check.
-    """
-    _check_quantum_number(n)
-    return 0.0
-
-
 def berry_connection(n: int, x: float) -> float:
-    """<psi_n | d/dx psi_n> by 400-node Gauss-Legendre quadrature over the well."""
+    """<psi_n | d/dx psi_n> by 400-node Gauss-Legendre quadrature over the well.
+
+    The well eigenfunctions are real, so this geometric connection, and with
+    it the geometric phase, vanishes; the quadrature is the cross-check.
+    """
     _check_quantum_number(n)
     _check_positive("well width", x)
     y, wt = _gauss_legendre(_BERRY_NODES, x)

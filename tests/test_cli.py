@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import pibilliards
@@ -59,6 +60,19 @@ def test_count_by_beta(capsys):
     code, out, _ = run_cli(["count", "--beta", str(math.pi / 6)], capsys)
     assert code == 0
     assert out == "5\n"
+
+
+@pytest.mark.parametrize("ratio", [
+    "1.470491205535975e14", "6.25994663169523e14", "6.294412848816792e15", "1e28"])
+def test_count_mass_ratio_matches_mpmath_floor(ratio, capsys):
+    # pi/beta is tens of millions and more here: a relative tie window wider
+    # than the fractional part would snap these to the integer below
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(mpmath.mpf(float(ratio)))
+        expected = int(mpmath.floor(mpmath.pi / mpmath.acot(root)))
+    code, out, _ = run_cli(["count", "--mass-ratio", ratio], capsys)
+    assert code == 0
+    assert int(out) == expected
 
 
 def test_phaseshift_output(capsys):
@@ -166,6 +180,63 @@ def test_figures_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for name in ("fig3_classical.csv", "fig5_l100.csv", "figures_manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+_PROVENANCE = {"command", "parameters", "version"}
+_SERIES_PROVENANCE = _PROVENANCE | {"outputs", "series_labels", "series_metadata"}
+_FIGURES = ["fig3_classical.csv", "fig3_n1.csv", "fig3_n10.csv",
+            "fig5_classical.csv", "fig5_l10.csv", "fig5_l100.csv"]
+
+
+@pytest.mark.parametrize("argv, outputs, default_manifest, keys", [
+    (["digits", "--N", "3"], [], None, _PROVENANCE),
+    (["count", "--mass-ratio", "100"], [], None, _PROVENANCE),
+    (["simulate", "--N", "1"], [], None, _PROVENANCE),
+    (["simulate", "--N", "1", "--trace", "t.csv"], ["t.csv"], "t.csv.manifest.json",
+     _PROVENANCE | {"outputs", "collision_count", "max_energy_drift"}),
+    (["semiclassical", "--N", "1", "--samples", "16", "--out", "s.csv"], ["s.csv"],
+     "s.csv.manifest.json", _SERIES_PROVENANCE),
+    (["quantum", "--N", "1", "--samples", "16", "--out", "q.json", "--format", "json"],
+     ["q.json"], "q.json.manifest.json", _SERIES_PROVENANCE),
+    (["phaseshift", "--n", "2", "--beta", "0.3"], [], None, _PROVENANCE),
+    (["figures", "--samples", "16", "--outdir", "figs"], [f"figs/{n}" for n in _FIGURES],
+     "figs/figures_manifest.json",
+     _PROVENANCE | {"outputs", "amplitude_coefficient_rule", "series_metadata"}),
+], ids=["digits", "count", "simulate", "simulate-trace", "semiclassical", "quantum-json",
+        "phaseshift", "figures"])
+def test_provenance_contract(argv, outputs, default_manifest, keys, tmp_path,
+                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def emitted(args):
+        code, _, err = run_cli(args, capsys)
+        assert code == 0
+        return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+
+    # --manifest: print-only runs write the object they print on stderr;
+    # file-writing runs print none and write it to the given path only
+    printed = emitted([*argv, "--manifest", "m.json"])
+    payload = json.loads(Path("m.json").read_text())
+    assert set(payload) == keys
+    assert payload["command"] == argv[0]
+    assert payload["version"] == pibilliards.__version__
+    if outputs:
+        assert printed == []
+        assert payload["outputs"] == sorted(Path(o).name for o in outputs)
+        assert not Path(default_manifest).exists()
+    else:
+        assert printed == [payload]
+    Path("m.json").unlink()
+
+    # without --manifest, the same object goes to the default place
+    printed = emitted(argv)
+    if outputs:
+        assert printed == []
+        assert json.loads(Path(default_manifest).read_text()) == payload
+    else:
+        assert printed == [payload]
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) \
+        == sorted([*outputs, *filter(None, [default_manifest])])
 
 
 def test_precision_flag(tmp_path, capsys):

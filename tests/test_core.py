@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import pibilliards
 from pibilliards import (BilliardParams, DomainError, PolarPoint,
                          beta_of_ratio, from_polar, to_polar)
 
@@ -98,6 +99,11 @@ def test_wedge_constraint_maps_to_angle_range():
     assert to_polar(2.0, 0.0, BilliardParams(9.0, 1.0)).theta == 0.0
     edge = to_polar(2.0, 2.0, BilliardParams(9.0, 1.0))
     assert edge.theta == pytest.approx(BilliardParams(9.0, 1.0).wedge_angle, rel=1e-15)
+    # within the slack just outside the strip: clamped onto it, not mapped past it
+    params = BilliardParams(100.0, 1.0)
+    for x, y in ((-1e-13, -1e-13), (-1e-13, 1e-13)):
+        p = to_polar(x, y, params)
+        assert 0.0 <= p.theta <= params.wedge_angle * (1 + 1e-12)
 
 
 def test_degenerate_origin():
@@ -142,3 +148,12 @@ def test_params_json_schema():
 def test_polar_point_is_plain_record():
     p = PolarPoint(rho=1.0, theta=0.25)
     assert (p.rho, p.theta) == (1.0, 0.25)
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry would break `from pibilliards import *`
+    for name in pibilliards.__all__:
+        getattr(pibilliards, name)
+    namespace = {}
+    exec("from pibilliards import *", namespace)
+    assert set(pibilliards.__all__) <= set(namespace)

@@ -6,10 +6,9 @@ import pytest
 from oracles import bessel_j_integral, bessel_j_series, bessel_y_integral, \
     theta_mean_adaptive
 from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, AsymptoticValidityError,
-                         CylinderPrecisionError, DomainError, QuantumMode,
-                         amplitude_coefficient, count_extrema, cyl_j, cyl_y,
-                         cylinder, eta_of, first_extremum_abscissa, hankel1,
-                         hankel2, hankel_asymptotic, phase_shift,
+                         DomainError, amplitude_coefficient, count_extrema,
+                         cyl_j, cyl_y, cylinder, eta_of, first_extremum_abscissa,
+                         hankel1, hankel2, hankel_asymptotic, phase_shift,
                          phase_shift_difference, sample_quantum_curve,
                          theta_mean, theta_mean_quadrature)
 
@@ -246,31 +245,16 @@ def test_theta_mean_flattens_below_turning_radius():
 
 
 def test_eta_of_values():
-    assert eta_of(10.0, 10.0, 1.0) == 0.0
-    assert eta_of(1e9, 10.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-4)
-    assert eta_of(20.0, 10.0, 1.0) == pytest.approx(math.pi / 3, rel=1e-14)
+    assert eta_of(10.0, 10.0) == 0.0
+    assert eta_of(1e9, 10.0) == pytest.approx(math.pi / 2, abs=1e-4)
+    assert eta_of(20.0, 10.0) == pytest.approx(math.pi / 3, rel=1e-14)
     with pytest.raises(DomainError):
-        eta_of(5.0, 10.0, 1.0)
+        eta_of(5.0, 10.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            eta_of(bad, 10.0, 1.0)
+            eta_of(bad, 10.0)
         with pytest.raises(DomainError):
-            eta_of(20.0, bad, 1.0)
-        with pytest.raises(DomainError):
-            eta_of(20.0, 10.0, bad)
-
-
-def test_quantum_mode():
-    mode = QuantumMode.from_channel(2, BETA10, k=2.0)
-    assert mode.l == pytest.approx(20.0, rel=1e-15)
-    assert mode.turning_radius == pytest.approx(10.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        QuantumMode(k=0.0, n=1, l=10.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            QuantumMode(k=bad, n=1, l=10.0)
-        with pytest.raises(DomainError):
-            QuantumMode(k=1.0, n=1, l=bad)
+            eta_of(20.0, bad)
 
 
 # -- curves ------------------------------------------------------------------------------

@@ -7,16 +7,16 @@ from oracles import (ode_half_trip_phase, ode_phase_integral,
                      two_level_mean_position_quadrature)
 from pibilliards import (BilliardParams, DomainError, SemiclassicalConfig,
                          accumulated_phase, alpha_of, berry_connection,
-                         berry_phase, big_ball_speed, count_extrema,
-                         energy_level, extremum_count, mean_position,
-                         sample_curve, total_phase, two_level_energy)
+                         big_ball_speed, count_extrema, energy_level,
+                         extremum_count, mean_position, sample_curve,
+                         total_phase, two_level_energy)
 
 
 def cfg_for(n, ratio_root, x_min=1.0):
     return SemiclassicalConfig(n, BilliardParams(ratio_root ** 2, 1.0), x_min=x_min)
 
 
-# -- levels and Berry phase ------------------------------------------------------
+# -- levels and Berry connection ------------------------------------------------------
 
 def test_energy_level_values():
     p = BilliardParams(1, 1)
@@ -43,11 +43,6 @@ def test_energy_level_domain():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             energy_level(1, bad, p)
-
-
-def test_berry_phase_exact_zero():
-    assert berry_phase(1) == 0.0
-    assert berry_phase(7) == 0.0
 
 
 def test_berry_connection_quadrature_tiny():
