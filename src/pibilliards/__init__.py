@@ -8,7 +8,8 @@ from .classical import (ClassicalState, CollisionEvent, CollisionKind,
                         CollisionTrace, IndeterminateFloorError,
                         PiDigitsMismatchError, PiDigitsResult,
                         SimulationConsistencyError, classical_curve,
-                        classical_eta_curve, count_closed_form, pi_digits,
+                        classical_eta_curve, count_certified,
+                        count_closed_form, pi_digits,
                         pi_digits_detail, simulate)
 from .core import (BilliardParams, DomainError, PolarPoint, beta_of_ratio,
                    from_polar, to_polar)
@@ -33,7 +34,7 @@ __all__ = [
     "ClassicalState", "CollisionEvent", "CollisionKind", "CollisionTrace",
     "SimulationConsistencyError", "IndeterminateFloorError",
     "PiDigitsMismatchError", "PiDigitsResult",
-    "simulate", "count_closed_form", "pi_digits", "pi_digits_detail",
+    "simulate", "count_closed_form", "count_certified", "pi_digits", "pi_digits_detail",
     "classical_curve", "classical_eta_curve",
     "SemiclassicalConfig", "energy_level", "two_level_energy",
     "berry_connection", "big_ball_speed", "accumulated_phase", "total_phase",

@@ -8,18 +8,51 @@ returned interval.  That containment is what lets a floor be *certified*
 rather than guessed: if both endpoints share the same integer part, the floor
 of the enclosed real number is known exactly.
 
-pi comes from the Machin identity pi = 16 arctan(1/5) - 4 arctan(1/239) and
-arctangents from the alternating Taylor series, whose remainder is bounded by
-the first omitted term.
+pi comes from the Chudnovsky series summed by binary splitting, in integers
+only (the Machin identity pi = 16 arctan(1/5) - 4 arctan(1/239), which it
+replaced, is the containment oracle in ``tests/oracles.py``).  Arctangents
+come from the alternating Taylor series, whose remainder is bounded by the
+first omitted term, after reducing the argument to at most 1/2.  Division
+forms only the two endpoint quotients that bound the result, chosen by the
+signs of the operands.
 """
 
 from __future__ import annotations
+
+import math
 
 _GUARD_BITS = 48
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+# Chudnovsky series: A + B k in each term, and 640320^3 / 24 in each q_k.
+_CHUD_A = 13591409
+_CHUD_B = 545140134
+_CHUD_C3_OVER_24 = 10939058860032000
+
+
+def _chudnovsky_pqt(a: int, b: int) -> tuple[int, int, int]:
+    """Binary splitting of the Chudnovsky terms a <= k < b.
+
+    With f_k = (6k)! / ((3k)! (k!)^3 640320^(3k)) and f_(-1) = 1, the
+    integers returned satisfy P/Q = f_(b-1) / f_(a-1) and
+    T/Q = sum_k (-1)^k f_k (13591409 + 545140134 k) / f_(a-1).
+    """
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * _CHUD_C3_OVER_24
+        t = p * (_CHUD_A + _CHUD_B * a)
+        return p, q, -t if a & 1 else t
+    mid = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_pqt(a, mid)
+    p2, q2, t2 = _chudnovsky_pqt(mid, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 class BigReal:
@@ -100,16 +133,24 @@ class BigReal:
         return BigReal(self.hi * k, self.lo * k, self.bits)
 
     def divide(self, other: "BigReal") -> "BigReal":
+        """Quotient interval from the two extreme endpoint quotients.
+
+        For a positive divisor the smallest quotient divides self.lo by
+        other.hi when self.lo >= 0 and by other.lo otherwise, and the largest
+        divides self.hi by other.lo when self.hi >= 0 and by other.hi
+        otherwise; a negative divisor is reduced to that case by negating both
+        operands.  The result equals the floor/ceiling of the min/max over all
+        four endpoint quotients.
+        """
         self._require_same_precision(other)
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("divisor interval contains zero")
-        quotients = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                scaled = a << self.bits
-                quotients.append(scaled // b)
-                quotients.append(_ceil_div(scaled, b))
-        return BigReal(min(quotients), max(quotients), self.bits)
+        if other.hi < 0:
+            return BigReal(-self.hi, -self.lo, self.bits).divide(
+                BigReal(-other.hi, -other.lo, other.bits))
+        lo = (self.lo << self.bits) // (other.hi if self.lo >= 0 else other.lo)
+        hi = _ceil_div(self.hi << self.bits, other.lo if self.hi >= 0 else other.hi)
+        return BigReal(lo, hi, self.bits)
 
     # -- certified queries ----------------------------------------------------
 
@@ -124,17 +165,28 @@ class BigReal:
 
     @classmethod
     def atan_fraction(cls, num: int, den: int, bits: int) -> "BigReal":
-        """arctan(num/den) for 0 <= num/den < 1.
+        """arctan(num/den) for num/den >= 0.
 
         Alternating series x - x^3/3 + x^5/5 - ...; the truncation error is
         bounded by the first omitted term, and every partial operation rounds
         outward, so the result interval rigorously contains arctan(num/den).
+        Arguments above 1/2 are first reduced to at most 1/2, where the series
+        gains at least two bits per term: arctan x = pi/2 - arctan(1/x) for
+        x > 2, and arctan x = pi/4 + arctan((x - 1)/(x + 1)) for 1/2 < x <= 2.
         """
+        if num < 0 or den <= 0:
+            raise ValueError("atan_fraction requires num/den >= 0")
         if num == 0:
             return cls.from_int(0, bits)
-        if num < 0 or den <= 0 or num >= den:
-            raise ValueError("atan_fraction requires 0 <= num/den < 1")
         work = bits + _GUARD_BITS
+        if 2 * num > den:
+            pi = cls.pi(work)
+            if num > 2 * den:
+                half_pi = BigReal(pi.lo, pi.hi, work + 1).round_to(work)
+                return (half_pi - cls.atan_fraction(den, num, work)).round_to(bits)
+            quarter_pi = BigReal(pi.lo, pi.hi, work + 2).round_to(work)
+            rest = cls.atan_fraction(abs(num - den), num + den, work)
+            return (quarter_pi + rest if num >= den else quarter_pi - rest).round_to(bits)
         mag_lo = (num << work) // den
         mag_hi = _ceil_div(num << work, den)
         num2, den2 = num * num, den * den
@@ -162,11 +214,33 @@ class BigReal:
 
     @classmethod
     def pi(cls, bits: int) -> "BigReal":
-        """pi = 16 arctan(1/5) - 4 arctan(1/239), certified."""
+        """pi by the Chudnovsky series, summed by binary splitting, certified.
+
+        pi = 426880 sqrt(10005) / S with S = sum_k t_k and
+        t_k = (-1)^k (6k)! (13591409 + 545140134 k) / ((3k)! (k!)^3 640320^(3k)).
+        Binary splitting gives the first n terms as the exact fraction T/Q.
+        Tail bound: (6k)!/((3k)! (k!)^3) = C(6k, 3k) (3k)!/(k!)^3 <= 2^(6k) 3^(3k)
+        = 1728^k, and 640320^3 / 1728 = 151931373056000 > 2^47, so
+        |t_k| <= (13591409 + 545140134 k) 2^(-47 k).  Successive bounds shrink
+        by more than a factor 2, so the omitted tail is below twice the bound
+        at k = n; with n = ceil(work/47) + 2 terms that is far below one
+        working ulp.  The tail enters T's units as E >= tail * Q, sqrt(10005)
+        is bracketed by math.isqrt, and both final quotients round outward, so
+        the interval contains pi.
+        """
         work = bits + _GUARD_BITS
-        a = cls.atan_fraction(1, 5, work)
-        b = cls.atan_fraction(1, 239, work)
-        return (a.scale_int(16) - b.scale_int(4)).round_to(bits)
+        n = -(-work // 47) + 2
+        _, q, t = _chudnovsky_pqt(0, n)
+        tail = ((2 * (_CHUD_A + _CHUD_B * n) * q) >> (47 * n)) + 1
+        # S lies in [t_lo / q_hi, t_hi / q_lo]; shortening q and t to about
+        # work bits keeps the two long quotients short
+        shift = max(q.bit_length() - work - _GUARD_BITS, 0)
+        q_lo = q >> shift
+        t_lo, t_hi = (t - tail) >> shift, -(-(t + tail) >> shift)
+        root = math.isqrt(10005 << (2 * work))  # root <= sqrt(10005) 2^work < root + 1
+        lo = (426880 * root * q_lo) // (t_hi << _GUARD_BITS)
+        hi = _ceil_div(426880 * (root + 1) * (q_lo + 1), t_lo << _GUARD_BITS)
+        return cls(lo, hi, bits)
 
     def __repr__(self):
         return f"BigReal([{self.lo}, {self.hi}] / 2**{self.bits})"

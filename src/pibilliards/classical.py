@@ -4,9 +4,10 @@ A heavy ball slides toward a light ball resting near a hard wall; all
 collisions are elastic.  The total number of collisions is finite and, for a
 mass ratio M/m = 100**N, equals the integer part of pi * 10**N.  This module
 provides the event-driven simulation (used as the counting oracle), the
-closed-form count floor(pi/beta) with its integer-tie correction, a
-certified extraction of floor(pi * 10**N) based on interval arithmetic plus
-an independent high-precision series, and the trajectory curves.
+closed-form count floor(pi/beta) with its integer-tie correction, the
+certified count at an exact mass ratio, a certified extraction of
+floor(pi * 10**N) based on interval arithmetic plus an independent
+high-precision series, and the trajectory curves.
 
 The curves use the unfolding of the wedge (Galperin, "Playing pool with pi",
 Regular and Chaotic Dynamics 8(4), 2003): in the mass-scaled plane
@@ -35,6 +36,9 @@ _MAX_DOUBLINGS = 3
 
 # Absolute window inside which pi/beta is treated as an exact integer tie.
 _TIE_ABS_TOL = 1e-9
+
+# The mass ratios whose pi/beta is an exact integer, and their counts.
+_RATIO_TIES = {1: 3, 3: 5}
 
 
 class SimulationConsistencyError(RuntimeError):
@@ -179,6 +183,37 @@ def count_closed_form(beta: float) -> int:
     if abs(q - nearest) <= _TIE_ABS_TOL:
         return int(nearest) - 1
     return math.floor(q)
+
+
+def count_certified(ratio: float) -> int:
+    """Collision count floor(pi/beta) at the mass ratio M/m = ``ratio``, certified.
+
+    ``ratio`` is taken as the exact rational p/q it holds, so
+    beta = arctan(sqrt(q/p)) exactly.  sqrt(q/p) is bracketed by
+    ``math.isqrt`` at b bits, and beta by the arctan intervals at the two
+    dyadic endpoints; the floor of the interval pi/beta is the count once it
+    is certified.  b starts at 64 bits plus about |log2(ratio)|, and is
+    doubled at most ``_MAX_DOUBLINGS`` times: above 1, pi/beta grows like
+    pi sqrt(ratio) while beta's relative error grows like sqrt(ratio) 2^-b;
+    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).  By Niven's theorem pi/beta is an integer only
+    at M/m = 1/3, 1 and 3 (beta = pi/3, pi/4, pi/6), and 1/3 is no double;
+    the last boundary ray is grazed there, so M/m = 1 and 3 give 3 and 5.
+    """
+    _check_positive("mass ratio", ratio)
+    exact = Fraction(ratio)
+    p, q = exact.numerator, exact.denominator
+    if exact in _RATIO_TIES:
+        return _RATIO_TIES[exact]
+    start = 64 + abs(p.bit_length() - q.bit_length())
+    for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
+        root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
+        beta = BigReal(BigReal.atan_fraction(root, 1 << bits, bits).lo,
+                       BigReal.atan_fraction(root + 1, 1 << bits, bits).hi, bits)
+        count = BigReal.pi(bits).divide(beta).floor_certified()
+        if count is not None:
+            return count
+    raise IndeterminateFloorError(
+        f"collision count not certified for M/m = {ratio!r} within {bits} bits")
 
 
 # -- certified digits ---------------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .classical import (CollisionTrace, IndeterminateFloorError,
                         PiDigitsMismatchError, classical_curve,
-                        classical_eta_curve, count_closed_form, pi_digits_detail,
-                        simulate)
+                        classical_eta_curve, count_certified, count_closed_form,
+                        pi_digits_detail, simulate)
 from .core import BilliardParams, DomainError, _check_beta
 from .curves import CurveSeries, _format_int, format_sig
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, phase_shift,
@@ -139,10 +139,11 @@ def _cmd_digits(args) -> int:
 def _cmd_count(args) -> int:
     if args.N is not None:
         # certified path: identical to the digits pipeline
-        result = pi_digits_detail(args.N)
-        count = result.collision_count
+        count = pi_digits_detail(args.N).collision_count
+    elif args.mass_ratio is not None:
+        count = count_certified(args.mass_ratio)
     else:
-        count = count_closed_form(_geometry_beta(args))
+        count = count_closed_form(args.beta)
     print(_format_int(count))
     return _finish(args, _geometry_provenance(args))
 

@@ -7,7 +7,9 @@ adaptive ODE integration of the Bohr frequency (not from the closed form);
 mean angles come from adaptive quadrature (not from Gauss-Legendre); the
 classical curves are replayed from the float event trace of ``simulate`` and
 evaluated on the folded straight line in high-precision arithmetic (not from
-the vectorized unfolding).
+the vectorized unfolding); pi comes from the Machin series and interval
+quotients from all eight endpoint quotients (not from the Chudnovsky binary
+splitting and the two-quotient ``BigReal.divide``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from pibilliards.bigreal import BigReal
 from pibilliards.classical import ClassicalState, CollisionTrace
 from pibilliards.core import BilliardParams, to_polar
 from pibilliards.semiclassical import SemiclassicalConfig, big_ball_speed
@@ -249,3 +252,32 @@ def folded_line_angle_mp(params: BilliardParams, etas) -> np.ndarray:
         _, beta, fold = _folded_line_mp(params)
         return np.array([float(fold(mpmath.pi / 2 - mpmath.mpf(float(e))) / beta)
                          for e in etas])
+
+
+# -- interval arithmetic -------------------------------------------------------
+
+
+def machin_pi(bits: int) -> BigReal:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239) in interval arithmetic."""
+    work = bits + 48
+    a = BigReal.atan_fraction(1, 5, work)
+    b = BigReal.atan_fraction(1, 239, work)
+    return (a.scale_int(16) - b.scale_int(4)).round_to(bits)
+
+
+def divide_all_quotients(a: BigReal, b: BigReal) -> BigReal:
+    """a / b as the least and the greatest of the floor and the ceiling
+    quotients over all four endpoint pairs."""
+    quotients = []
+    for x in (a.lo, a.hi):
+        for y in (b.lo, b.hi):
+            scaled = x << a.bits
+            quotients.append(scaled // y)
+            quotients.append(-((-scaled) // y))
+    return BigReal(min(quotients), max(quotients), a.bits)
+
+
+def count_floor_mp(ratio: float, dps: int = 80) -> int:
+    """floor(pi / arccot(sqrt(ratio))) for the exact double ``ratio``, at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        return int(mpmath.floor(mpmath.pi / mpmath.acot(mpmath.sqrt(mpmath.mpf(ratio)))))

@@ -3,6 +3,9 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import divide_all_quotients, machin_pi
 
 from pibilliards import BigReal
 
@@ -86,3 +89,42 @@ def test_scale_int_exact():
     scaled = iv.scale_int(-21)
     assert scaled.lo <= -3 * (1 << 96) <= scaled.hi
     assert scaled.width() <= 21 * iv.width()
+
+
+ENDPOINTS = st.integers(-(1 << 200), 1 << 200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDPOINTS, ENDPOINTS, st.integers(1, 1 << 200), st.integers(1, 1 << 200),
+       st.booleans(), st.integers(1, 160))
+def test_divide_equals_all_quotient_oracle(a, b, c, d, negative, bits):
+    num = BigReal(min(a, b), max(a, b), bits)
+    den = BigReal(min(c, d), max(c, d), bits)
+    if negative:
+        den = BigReal(-den.hi, -den.lo, bits)
+    got, expected = num.divide(den), divide_all_quotients(num, den)
+    assert (got.lo, got.hi) == (expected.lo, expected.hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 40000))
+@example(40000)
+def test_pi_contains_reference_and_overlaps_machin(bits):
+    iv = BigReal.pi(bits)
+    with mpmath.workprec(bits + 64):
+        ref = mpmath.pi * mpmath.mpf(2) ** bits
+        assert iv.lo <= ref <= iv.hi
+    machin = machin_pi(bits)
+    assert iv.lo <= machin.hi and machin.lo <= iv.hi
+    assert iv.hi - iv.lo <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 80), st.integers(1, 1 << 80), st.integers(2, 300))
+def test_atan_contains_reference_for_any_nonnegative_argument(num, den, bits):
+    # arguments above 1/2 go through the pi/2 and pi/4 reductions
+    iv = BigReal.atan_fraction(num, den, bits)
+    with mpmath.workprec(bits + 200):
+        ref = mpmath.atan(mpmath.mpf(num) / den) * mpmath.mpf(2) ** bits
+        assert iv.lo <= ref <= iv.hi
+    assert iv.hi - iv.lo <= 4

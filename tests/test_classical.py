@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (folded_line_angle_mp, folded_line_position_mp,
-                     replay_angle_curve, replay_position_curve,
-                     replay_rho_min_and_time)
+from oracles import (count_floor_mp, folded_line_angle_mp,
+                     folded_line_position_mp, replay_angle_curve,
+                     replay_position_curve, replay_rho_min_and_time)
 
 from pibilliards import (BilliardParams, CollisionKind, DomainError,
                          IndeterminateFloorError, alpha_of, beta_of_ratio,
                          classical_curve, classical_eta_curve,
-                         count_closed_form, pi_digits, pi_digits_detail,
-                         simulate, to_polar)
+                         count_certified, count_closed_form, pi_digits,
+                         pi_digits_detail, simulate, to_polar)
 from pibilliards.bigreal import BigReal
 
 EPS = np.finfo(float).eps
@@ -122,6 +122,59 @@ def test_closed_form_matches_simulation_randomized():
     for ratio in rng.uniform(1.0, 1e4, 300):
         p = BilliardParams.from_mass_ratio(float(ratio))
         assert simulate(p, 1.0, 10.0, 1.0).count == count_closed_form(p.wedge_angle)
+
+
+# -- certified count ------------------------------------------------------------
+
+def test_certified_count_ties_and_near_ties():
+    # M/m = 1 and 3 are the exact ties (beta = pi/4, pi/6); the doubles next to
+    # them, and the double nearest cot^2(pi/10), are not ties
+    assert count_certified(1.0) == 3
+    assert count_certified(3) == 5
+    for ratio in (1.0000000000000002, 0.9999999999999999, 3.0000000000000004,
+                  9.472135954999583, 1e-300):
+        assert count_certified(ratio) == simulate(
+            BilliardParams.from_mass_ratio(ratio), 1.0, 10.0, 1.0).count
+    assert count_certified(9.472135954999583) == 10
+    # pi/beta exceeds 2 by about (4/pi) sqrt(ratio) for tiny ratios
+    assert count_certified(5e-324) == count_certified(2.2250738585072014e-308) == 2
+
+
+def test_certified_count_domain_and_ceiling(monkeypatch):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            count_certified(bad)
+    monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
+    with pytest.raises(IndeterminateFloorError, match="not certified"):
+        count_certified(2.0)
+
+
+def test_certified_count_matches_digits_at_decades():
+    # 100**n is an exact double up to n = 11
+    for n in range(12):
+        assert count_certified(float(100 ** n)) == pi_digits(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e4))
+def test_certified_count_matches_simulation(ratio):
+    p = BilliardParams.from_mass_ratio(ratio)
+    assert count_certified(ratio) == simulate(p, 1.0, 10.0, 1.0).count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=32.0))
+def test_certified_count_matches_mpmath_floor(exponent):
+    ratio = 10.0 ** exponent
+    assume(ratio not in (1.0, 3.0))  # the ties lose the grazed final ray
+    assert count_certified(ratio) == count_floor_mp(ratio)
+
+
+def test_certified_count_large_ratios():
+    # the double pi/beta misses the floor for 41 of these ratios
+    ratios = 10.0 ** np.random.default_rng(7).uniform(28.0, 30.0, 300)
+    wrong = [float(r) for r in ratios if count_certified(float(r)) != count_floor_mp(float(r))]
+    assert wrong == []
 
 
 # -- certified digits -----------------------------------------------------------

@@ -63,10 +63,13 @@ def test_count_by_beta(capsys):
 
 
 @pytest.mark.parametrize("ratio", [
-    "1.470491205535975e14", "6.25994663169523e14", "6.294412848816792e15", "1e28"])
+    "1.470491205535975e14", "6.25994663169523e14", "6.294412848816792e15", "1e28",
+    "1e29", "9.472135954999583"])
 def test_count_mass_ratio_matches_mpmath_floor(ratio, capsys):
     # pi/beta is tens of millions and more here: a relative tie window wider
-    # than the fractional part would snap these to the integer below
+    # than the fractional part would snap these to the integer below, and
+    # from 1e29 the double pi/beta cannot resolve the floor; the double nearest
+    # cot^2(pi/10) lies a hair below that tie, so a tie snap would miss it
     with mpmath.workdps(60):
         root = mpmath.sqrt(mpmath.mpf(float(ratio)))
         expected = int(mpmath.floor(mpmath.pi / mpmath.acot(root)))
