@@ -12,12 +12,11 @@ from .classical import (ClassicalState, CollisionEvent, CollisionKind,
                         count_closed_form, pi_digits,
                         pi_digits_detail, simulate)
 from .core import (BilliardParams, DomainError, PolarPoint, beta_of_ratio,
-                   from_polar, to_polar)
+                   to_polar)
 from .curves import CurveSeries, count_extrema, first_extremum_abscissa
-from .quantum import (AMPLITUDE_COEFFICIENT_RULE, AsymptoticValidityError,
-                      CylinderPrecisionError, CylinderValue,
-                      amplitude_coefficient, cyl_j, cyl_y, cylinder, eta_of,
-                      hankel1, hankel2, hankel_asymptotic, phase_shift,
+from .quantum import (AMPLITUDE_COEFFICIENT_RULE, CylinderPrecisionError,
+                      CylinderValue, amplitude_coefficient, cyl_j, cyl_y,
+                      cylinder, eta_of, hankel1, phase_shift,
                       phase_shift_difference, sample_quantum_curve, theta_mean,
                       theta_mean_quadrature)
 from .semiclassical import (SemiclassicalConfig, accumulated_phase, alpha_of,
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "BigReal",
     "BilliardParams", "DomainError", "PolarPoint",
-    "beta_of_ratio", "to_polar", "from_polar",
+    "beta_of_ratio", "to_polar",
     "CurveSeries", "count_extrema", "first_extremum_abscissa",
     "ClassicalState", "CollisionEvent", "CollisionKind", "CollisionTrace",
     "SimulationConsistencyError", "IndeterminateFloorError",
@@ -39,10 +38,8 @@ __all__ = [
     "SemiclassicalConfig", "energy_level", "two_level_energy",
     "berry_connection", "big_ball_speed", "accumulated_phase", "total_phase",
     "mean_position", "extremum_count", "alpha_of", "sample_curve",
-    "CylinderValue", "CylinderPrecisionError",
-    "AsymptoticValidityError", "AMPLITUDE_COEFFICIENT_RULE",
-    "amplitude_coefficient", "cyl_j", "cyl_y", "cylinder",
-    "hankel1", "hankel2", "hankel_asymptotic",
+    "CylinderValue", "CylinderPrecisionError", "AMPLITUDE_COEFFICIENT_RULE",
+    "amplitude_coefficient", "cyl_j", "cyl_y", "cylinder", "hankel1",
     "phase_shift", "phase_shift_difference",
     "theta_mean", "theta_mean_quadrature", "eta_of", "sample_quantum_curve",
 ]

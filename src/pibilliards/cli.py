@@ -15,6 +15,7 @@ be printed or written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,8 @@ def _geometry_params(args) -> BilliardParams:
         return BilliardParams.from_beta(args.beta)
     if args.mass_ratio is not None:
         return BilliardParams.from_mass_ratio(args.mass_ratio)
+    if 2 * args.N > sys.float_info.max_10_exp:  # 100**N = 10**(2N) overflows a double
+        raise DomainError(f"--N {args.N}: the mass ratio 100**N exceeds the double range")
     return BilliardParams.from_mass_ratio(float(100 ** args.N))
 
 
@@ -89,14 +92,19 @@ def _check_finite(what: str, *values) -> None:
 
 
 def _finish(args, parameters: dict, outputs: list[Path] | None = None,
-            manifest: Path | None = None, **record) -> int:
-    """Record the run's provenance and return the success status.
+            manifest: Path | None = None, stdout: tuple[str, ...] = (),
+            stderr: tuple[str, ...] = (), **record) -> int:
+    """Record the run's provenance, print its result and return the success
+    status.
 
     The payload is the command, its ``parameters``, any further ``record``
     entries, the names of the ``outputs`` written and the package version.
     A run that writes files stores it in ``--manifest``, else in ``manifest``,
     else beside its first output as ``<name>.manifest.json``.  A run that only
-    prints writes it as one JSON line on stderr, and also to ``--manifest``.
+    prints writes it as one JSON line on stderr after its ``stderr`` lines,
+    and also to ``--manifest``.  The ``stdout`` and ``stderr`` lines are
+    printed only once every file is written, so a run that cannot write one
+    prints no result.
     """
     payload = {"command": args.command, "parameters": parameters, **record,
                "version": __version__}
@@ -105,9 +113,13 @@ def _finish(args, parameters: dict, outputs: list[Path] | None = None,
         payload["outputs"] = sorted(out.name for out in outputs)
         path = path or manifest or outputs[0].with_name(outputs[0].name + ".manifest.json")
     else:
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        stderr = (*stderr, json.dumps(payload, sort_keys=True))
     if path is not None:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for line in stdout:
+        print(line)
+    for line in stderr:
+        print(line, file=sys.stderr)
     return _EXIT_OK
 
 
@@ -128,12 +140,11 @@ def _emit_series(series: CurveSeries, args, parameters: dict) -> int:
 
 def _cmd_digits(args) -> int:
     result = pi_digits_detail(args.N)
-    print(_format_int(result.value))
-    print(f"certified: {result.bits} bits; collision-count route = "
-          f"{_format_int(result.collision_count)}, interval floor = "
-          f"{_format_int(result.pi_floor)}, mpmath floor = {_format_int(result.value)}",
-          file=sys.stderr)
-    return _finish(args, {"N": args.N, "bits": result.bits})
+    note = (f"certified: {result.bits} bits; collision-count route = "
+            f"{_format_int(result.collision_count)}, interval floor = "
+            f"{_format_int(result.pi_floor)}, mpmath floor = {_format_int(result.value)}")
+    return _finish(args, {"N": args.N, "bits": result.bits},
+                   stdout=(_format_int(result.value),), stderr=(note,))
 
 
 def _cmd_count(args) -> int:
@@ -144,8 +155,7 @@ def _cmd_count(args) -> int:
         count = count_certified(args.mass_ratio)
     else:
         count = count_closed_form(args.beta)
-    print(_format_int(count))
-    return _finish(args, _geometry_provenance(args))
+    return _finish(args, _geometry_provenance(args), stdout=(_format_int(count),))
 
 
 def _trace_to_csv(trace: CollisionTrace, path: Path, sig: int) -> None:
@@ -164,14 +174,14 @@ def _cmd_simulate(args) -> int:
     if args.trace is not None:
         _check_finite("collision trace", trace.max_energy_drift,
                       [astuple(ev.state_after) for ev in trace.events])
-    print(trace.count)
     parameters = {**_geometry_provenance(args), "M": params.M, "m": params.m,
                   "hbar": params.hbar, "v0": args.v0, "x0": args.x0, "y0": args.y0}
+    printed = (str(trace.count),)
     if args.trace is None:
-        return _finish(args, parameters)
+        return _finish(args, parameters, stdout=printed)
     _trace_to_csv(trace, args.trace, args.precision)
-    return _finish(args, parameters, [args.trace], collision_count=trace.count,
-                   max_energy_drift=trace.max_energy_drift)
+    return _finish(args, parameters, [args.trace], stdout=printed,
+                   collision_count=trace.count, max_energy_drift=trace.max_energy_drift)
 
 
 def _cmd_semiclassical(args) -> int:
@@ -195,9 +205,9 @@ def _cmd_phaseshift(args) -> int:
     diff = phase_shift_difference(beta)
     _check_finite("phase shift", delta, diff)
     sig = args.precision
-    print(f"delta = {format_sig(delta, sig)} ({format_sig(delta / math.pi, sig)} pi)")
-    print(f"delta_delta = {format_sig(diff, sig)} ({format_sig(diff / math.pi, sig)} pi)")
-    return _finish(args, {**_geometry_provenance(args), "n": args.n})
+    return _finish(args, {**_geometry_provenance(args), "n": args.n}, stdout=(
+        f"delta = {format_sig(delta, sig)} ({format_sig(delta / math.pi, sig)} pi)",
+        f"delta_delta = {format_sig(diff, sig)} ({format_sig(diff / math.pi, sig)} pi)"))
 
 
 def _cmd_figures(args) -> int:
@@ -227,6 +237,7 @@ def _cmd_figures(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pibilliards",

@@ -151,9 +151,3 @@ def to_polar(x: float, y: float, params: BilliardParams) -> PolarPoint:
     w = math.sqrt(params.m) * min(max(y, 0.0), x)
     return PolarPoint(rho=math.hypot(u, w), theta=math.atan2(w, u))
 
-
-def from_polar(point: PolarPoint, params: BilliardParams) -> tuple[float, float]:
-    """Inverse of :func:`to_polar`."""
-    x = point.rho * math.cos(point.theta) / math.sqrt(params.M)
-    y = point.rho * math.sin(point.theta) / math.sqrt(params.m)
-    return x, y

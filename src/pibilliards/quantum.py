@@ -2,12 +2,15 @@
 
 With both balls quantum, the problem separates in the mass-scaled polar
 coordinates into sector eigenmodes sin(l theta) with l = n pi / beta and
-radial cylinder waves of real order l.  The standing radial mode splits into
-an incident and an outgoing wave whose asymptotic phase shift is
-delta(n) = (l + 1/2) pi, independent of the wavenumber; the difference
-between adjacent channels, pi^2 / beta, is the quantum image of the classical
-full-trip phase.  The mean sector angle in a two-channel superposition
-oscillates with radius like the classical angle oscillates with time.
+radial cylinder waves of real order l.  The standing radial mode J splits
+into the incident wave H1 = J + iY and the outgoing wave conj(H1) = J - iY
+(for real order and argument the conjugate is the second Hankel function).
+Their asymptotic phase shift delta(n) = (l + 1/2) pi is independent of the
+wavenumber; the difference between adjacent channels, pi^2 / beta, is the
+quantum image of the classical full-trip phase.  The mean sector angle in a
+two-channel superposition oscillates with radius like the classical angle
+oscillates with time; its amplitude coefficient C(n) is
+:func:`amplitude_coefficient`.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ _THETA_NODES = 320  # Gauss-Legendre nodes of the mean-angle quadrature
 
 class CylinderPrecisionError(RuntimeError):
     """Certified cylinder-function accuracy could not be reached."""
-
-
-class AsymptoticValidityError(DomainError):
-    """Argument below the validity threshold of the asymptotic form."""
 
 
 @dataclass(frozen=True)
@@ -91,32 +90,8 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 
 
 def hankel1(nu, x):
-    """H(1) = J + iY (incident radial wave)."""
+    """H(1) = J + iY (incident radial wave); its conjugate is the outgoing wave."""
     return cyl_j(nu, x) + 1j * cyl_y(nu, x)
-
-
-def hankel2(nu, x):
-    """H(2) = J - iY (outgoing radial wave); the conjugate of H(1) for real
-    order and argument."""
-    return cyl_j(nu, x) - 1j * cyl_y(nu, x)
-
-
-def hankel_asymptotic(nu: float, x: float) -> tuple[complex, complex]:
-    """Leading large-argument forms sqrt(2/(pi x)) exp(+-i(x - (nu+1/2)pi/2)).
-
-    Enforced validity region x >= 10 * max(1, nu^2).  The modulus is already
-    accurate there (its first correction is O(1/x^2)); the complex value
-    carries an O(nu^2/x) phase error that shrinks as x grows.
-    """
-    _check_order_argument(nu, x)
-    threshold = 10.0 * max(1.0, nu * nu)
-    if x < threshold:
-        raise AsymptoticValidityError(
-            f"asymptotic form requires x >= {threshold} for nu={nu}")
-    amplitude = math.sqrt(2.0 / (math.pi * x))
-    phase = x - (nu + 0.5) * math.pi / 2.0
-    first = amplitude * complex(math.cos(phase), math.sin(phase))
-    return first, first.conjugate()
 
 
 def phase_shift(n: int, beta: float) -> float:
@@ -137,7 +112,9 @@ def phase_shift_difference(beta: float) -> float:
 
 
 def amplitude_coefficient(n: int) -> float:
-    """8n(n+1)/(2n+1)^2; see AMPLITUDE_COEFFICIENT_RULE for its status."""
+    """C(n) = 8n(n+1)/(2n+1)^2, the mean-angle amplitude coefficient; see
+    AMPLITUDE_COEFFICIENT_RULE for its status.  The semiclassical position
+    fraction is ``SemiclassicalConfig.position_amplitude`` = C(n)/pi^2."""
     _check_quantum_number(n)
     return 8.0 * n * (n + 1) / (2 * n + 1) ** 2
 
@@ -174,19 +151,20 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
     """Mean sector angle by direct quadrature of the wavefunction density.
 
     Integrates theta |Psi|^2 over the sector (fixed 320-node Gauss-Legendre
-    rule) for the two-channel incident (H1) or outgoing (H2) wave at the
-    dimensionless radius ``rho`` = k rho, as in :func:`theta_mean`.  This path
-    makes no use of the closed form above and is the only exposed route to
-    the outgoing-wave mean angle.
+    rule) for the two-channel incident (H1) or outgoing (conj(H1), which is
+    H2 for real order and argument) wave at the dimensionless radius ``rho`` =
+    k rho, as in :func:`theta_mean`.  This path makes no use of the closed
+    form above and is the only exposed route to the outgoing-wave mean angle.
     """
     _check_quantum_number(n)
     _check_beta(beta)
     if wave not in ("incident", "outgoing"):
         raise DomainError("wave must be 'incident' or 'outgoing'")
-    hankel = hankel1 if wave == "incident" else hankel2
     l = n * math.pi / beta
     lp = (n + 1) * math.pi / beta
-    h_l, h_lp = hankel(l, rho), hankel(lp, rho)
+    h_l, h_lp = hankel1(l, rho), hankel1(lp, rho)
+    if wave == "outgoing":
+        h_l, h_lp = np.conj(h_l), np.conj(h_lp)
     c = math.pi / (2.0 * beta)
     theta, wt = _gauss_legendre(_THETA_NODES, beta)
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)

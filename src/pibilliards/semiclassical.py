@@ -42,10 +42,13 @@ class SemiclassicalConfig:
         _check_positive("x_min", self.x_min)
 
     @property
-    def amplitude_coefficient(self) -> float:
+    def position_amplitude(self) -> float:
         """8n(n+1) / (pi^2 (2n+1)^2), the mean-position oscillation amplitude
-        as a fraction of the well width; always below 1/2."""
+        as a fraction of the well width; always below 1/2.  It equals the
+        quantum mean-angle coefficient ``amplitude_coefficient(n)`` over pi^2."""
         n = self.n
+        # its own expression: amplitude_coefficient(n) / pi**2 differs in the
+        # last bit for about a third of all n, and the manifests record this value
         return 8.0 * n * (n + 1) / (math.pi ** 2 * (2 * n + 1) ** 2)
 
     @property
@@ -128,7 +131,7 @@ def mean_position(cfg: SemiclassicalConfig, phase: float, x: float) -> float:
     """Mean particle position x/2 - x * A(n) * cos(phase); stays in (0, x)."""
     _check_positive("well width", x)
     _check_real("phase", phase)
-    return x / 2.0 - x * cfg.amplitude_coefficient * math.cos(phase)
+    return x / 2.0 - x * cfg.position_amplitude * math.cos(phase)
 
 
 def extremum_count(cfg: SemiclassicalConfig) -> int:
@@ -154,7 +157,7 @@ def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:
     """
     alphas = _alpha_grid(grid)
     phases = cfg.phase_prefactor * (math.pi / 2 + alphas)
-    ys = 0.5 - cfg.amplitude_coefficient * np.cos(phases)
+    ys = 0.5 - cfg.position_amplitude * np.cos(phases)
     return CurveSeries(
         abscissa="alpha", ordinate="y_over_x", xs=alphas, ys=ys,
         labels={"model": "semiclassical", "n": str(cfg.n)},
@@ -164,5 +167,5 @@ def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:
             "beta": cfg.params.wedge_angle,
             "phase_prefactor": cfg.phase_prefactor,
             "extremum_count": extremum_count(cfg),
-            "amplitude_coefficient": cfg.amplitude_coefficient,
+            "amplitude_coefficient": cfg.position_amplitude,
         })

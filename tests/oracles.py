@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: Bessel values come from a
 high-precision power series and from quadrature of the integral
 representation (not from scipy); the accumulated Bohr phase comes from an
 adaptive ODE integration of the Bohr frequency (not from the closed form);
-mean angles come from adaptive quadrature (not from Gauss-Legendre); the
+mean angles come from adaptive quadrature (not from Gauss-Legendre), and the
+outgoing one also from the closed form of the H2 = J - iY pair (not from
+quadrature of the conjugated H1 pair); the
 classical curves are replayed from the float event trace of ``simulate`` and
 evaluated on the folded straight line in high-precision arithmetic (not from
 the vectorized unfolding); pi comes from the Machin series and interval
@@ -149,6 +151,22 @@ def theta_mean_adaptive(rho: float, n: int, beta: float, k: float = 1.0,
     den, _ = integrate.quad(density, 0.0, beta, limit=400,
                             epsabs=1e-13, epsrel=1e-13)
     return num / den
+
+
+def theta_mean_outgoing_closed_form(rho: float, n: int, beta: float) -> float:
+    """Outgoing-wave mean angle in closed form: the ``theta_mean`` formula with
+    each H1 replaced by H2 = J - iY, the conjugate of H1 for real order and
+    argument."""
+    from scipy import special as sp
+
+    l = n * math.pi / beta
+    lp = (n + 1) * math.pi / beta
+    h_l = sp.jv(l, rho) - 1j * sp.yv(l, rho)
+    h_lp = sp.jv(lp, rho) - 1j * sp.yv(lp, rho)
+    cross = 2.0 * np.real(np.exp(1j * math.pi ** 2 / (2.0 * beta)) * np.conj(h_l) * h_lp)
+    dens = abs(h_l) ** 2 + abs(h_lp) ** 2
+    coefficient = 8.0 * n * (n + 1) / (2 * n + 1) ** 2
+    return beta / 2.0 - (beta / math.pi ** 2) * coefficient * cross / dens
 
 
 def two_level_mean_position_quadrature(n: int, phase: float, x: float) -> float:

@@ -267,6 +267,8 @@ def test_indeterminate_exit_code(monkeypatch, capsys):
     ["semiclassical", "--N", "1", "--x-min", "inf"],  # no such option: no output depends on x_min
     ["quantum", "--N", "1", "--k", "inf"],  # no such option: the curve depends on k rho only
     ["digits", "--N", "3", "--precision", "5"],
+    ["semiclassical", "--N", "155"],  # M/m = 100**N beyond the double range
+    ["simulate", "--N", "155"],
 ])
 def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, capsys):
     out_path = tmp_path / "c.csv"
@@ -299,6 +301,36 @@ def test_nonfinite_output_exit_3(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["digits", "--N", "3", "--manifest", "nodir/m.json"],
+    ["count", "--N", "3", "--manifest", "nodir/m.json"],
+    ["phaseshift", "--n", "1", "--beta", "0.3", "--manifest", "nodir/m.json"],
+    ["simulate", "--N", "1", "--trace", "nodir/t.csv"],
+])
+def test_unwritable_file_prints_no_result(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pibilliards: ")
+
+
+def test_calls_in_one_process_do_not_leak(tmp_path, monkeypatch, capsys):
+    # each call of a sequence in one process gives what it gives alone in a
+    # fresh interpreter: exit status, both streams and the manifest file
+    sequence = [["count", "--mass-ratio", "2", "--manifest", "m.json"], ["count", "--N", "2"],
+                ["simulate", "--N", "1", "--v0", "3"], ["simulate", "--N", "1"]]
+    for i, argv in enumerate(sequence):
+        alone, together = tmp_path / f"alone{i}", tmp_path / f"together{i}"
+        alone.mkdir()
+        together.mkdir()
+        proc = _run_fresh(argv, cwd=alone)
+        monkeypatch.chdir(together)
+        assert run_cli(argv, capsys) == (proc.returncode, proc.stdout, proc.stderr)
+        assert sorted((f.name, f.read_bytes()) for f in together.iterdir()) \
+            == sorted((f.name, f.read_bytes()) for f in alone.iterdir())
+
+
 def test_bad_params_file_exit_code(tmp_path, capsys):
     pfile = tmp_path / "bad.json"
     pfile.write_text('{"masses": [1, 2]}')
@@ -307,12 +339,17 @@ def test_bad_params_file_exit_code(tmp_path, capsys):
     assert "unknown parameter" in err
 
 
-def test_console_script_entry_point():
-    # the child imports the package the suite imports, installed or not
+def _run_fresh(argv, cwd=None):
+    """``pibilliards argv`` in a new interpreter that imports the package the
+    suite imports, installed or not."""
     src = str(Path(pibilliards.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "pibilliards.cli", "digits", "--N", "2"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "pibilliards.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_console_script_entry_point():
+    proc = _run_fresh(["digits", "--N", "2"])
     assert proc.returncode == 0
     assert proc.stdout == "314\n"

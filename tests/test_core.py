@@ -6,7 +6,7 @@ import pytest
 
 import pibilliards
 from pibilliards import (BilliardParams, DomainError, PolarPoint,
-                         beta_of_ratio, from_polar, to_polar)
+                         beta_of_ratio, to_polar)
 
 
 def test_beta_of_ratio_known_angles():
@@ -82,7 +82,8 @@ def test_polar_round_trip():
         x = float(rng.uniform(0.1, 100.0))
         y = x * float(rng.uniform(0.0, 1.0))
         p = to_polar(x, y, params)
-        x2, y2 = from_polar(p, params)
+        x2 = p.rho * math.cos(p.theta) / math.sqrt(params.M)
+        y2 = p.rho * math.sin(p.theta) / math.sqrt(params.m)
         assert x2 == pytest.approx(x, rel=1e-12)
         assert y2 == pytest.approx(y, rel=1e-12, abs=1e-12)
 

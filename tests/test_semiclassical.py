@@ -187,7 +187,7 @@ def test_mean_position_value_and_quadrature():
 def test_mean_position_strictly_inside_well():
     for n in range(1, 30):
         cfg = cfg_for(n, 10.0)
-        assert 0.0 < cfg.amplitude_coefficient < 0.5
+        assert 0.0 < cfg.position_amplitude < 0.5
         for phase in np.linspace(0, 2 * math.pi, 17):
             assert 0.0 < mean_position(cfg, float(phase), 1.0) < 1.0
 
@@ -205,7 +205,7 @@ def test_amplitude_coefficient_limit():
     # 8n(n+1)/(2n+1)^2 -> 2, so the normalized amplitude tends to 2/pi^2
     n = 10 ** 6
     cfg = cfg_for(n, 10.0)
-    assert cfg.amplitude_coefficient * math.pi ** 2 == pytest.approx(2.0, rel=1e-6)
+    assert cfg.position_amplitude * math.pi ** 2 == pytest.approx(2.0, rel=1e-6)
 
 
 # -- extrema and curves ----------------------------------------------------------------
