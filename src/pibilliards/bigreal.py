@@ -1,10 +1,12 @@
-"""Arbitrary-precision interval scalars with certified outward rounding.
+"""Arbitrary-precision non-negative intervals with certified outward rounding.
 
-A :class:`BigReal` is an interval [lo, hi] whose endpoints are dyadic
-fixed-point numbers lo/2**bits and hi/2**bits stored as Python integers.
-Every operation rounds the lower endpoint down and the upper endpoint up, so
-the true real value of any expression is guaranteed to stay inside the
-returned interval.  That containment is what lets a floor be *certified*
+A :class:`BigReal` is an interval [lo, hi] with 0 <= lo <= hi, whose endpoints
+are dyadic fixed-point numbers lo/2**bits and hi/2**bits stored as Python
+integers; every value the certificates need (pi, arctangents of ratios >= 0,
+their sums, differences, multiples and quotients) is non-negative, and the
+constructor enforces it.  Every operation rounds the lower endpoint down and
+the upper endpoint up, so the true real value of any expression stays inside
+the returned interval.  That containment is what lets a floor be *certified*
 rather than guessed: if both endpoints share the same integer part, the floor
 of the enclosed real number is known exactly.
 
@@ -13,8 +15,7 @@ only (the Machin identity pi = 16 arctan(1/5) - 4 arctan(1/239), which it
 replaced, is the containment oracle in ``tests/oracles.py``).  Arctangents
 come from the alternating Taylor series, whose remainder is bounded by the
 first omitted term, after reducing the argument to at most 1/2.  Division
-forms only the two endpoint quotients that bound the result, chosen by the
-signs of the operands.
+forms only the two endpoint quotients that bound the result.
 """
 
 from __future__ import annotations
@@ -59,28 +60,13 @@ class BigReal:
     __slots__ = ("lo", "hi", "bits")
 
     def __init__(self, lo: int, hi: int, bits: int):
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
+        if not 0 <= lo <= hi:
+            raise ValueError("interval endpoints must satisfy 0 <= lo <= hi")
         if bits <= 0:
             raise ValueError("precision must be positive")
         self.lo = lo
         self.hi = hi
         self.bits = bits
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_int(cls, value: int, bits: int) -> "BigReal":
-        return cls(value << bits, value << bits, bits)
-
-    @classmethod
-    def from_fraction(cls, num: int, den: int, bits: int) -> "BigReal":
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        scaled = num << bits
-        return cls(scaled // den, _ceil_div(scaled, den), bits)
 
     # -- helpers -----------------------------------------------------------
 
@@ -89,25 +75,9 @@ class BigReal:
             raise ValueError("mixed-precision interval arithmetic")
 
     def round_to(self, bits: int) -> "BigReal":
-        if bits == self.bits:
-            return self
-        if bits < self.bits:
-            shift = self.bits - bits
-            return BigReal(self.lo >> shift, _ceil_div(self.hi, 1 << shift), bits)
-        shift = bits - self.bits
-        return BigReal(self.lo << shift, self.hi << shift, bits)
-
-    def width(self) -> float:
-        return (self.hi - self.lo) / (1 << self.bits)
-
-    def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2 / (1 << self.bits)
-
-    def contains(self, other: "BigReal") -> bool:
-        """True if ``other`` (any precision) lies inside this interval."""
-        # compare lo/2^a <= olo/2^b via cross-multiplication
-        a, b = self.bits, other.bits
-        return (self.lo << b) <= (other.lo << a) and (other.hi << a) <= (self.hi << b)
+        """The enclosing interval at the coarser precision ``bits`` <= self.bits."""
+        shift = self.bits - bits
+        return BigReal(self.lo >> shift, _ceil_div(self.hi, 1 << shift), bits)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -119,38 +89,19 @@ class BigReal:
         self._require_same_precision(other)
         return BigReal(self.lo - other.hi, self.hi - other.lo, self.bits)
 
-    def __mul__(self, other: "BigReal") -> "BigReal":
-        self._require_same_precision(other)
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        scale = 1 << self.bits
-        return BigReal(min(products) // scale, _ceil_div(max(products), scale), self.bits)
-
     def scale_int(self, k: int) -> "BigReal":
-        """Exact multiplication by an integer."""
-        if k >= 0:
-            return BigReal(self.lo * k, self.hi * k, self.bits)
-        return BigReal(self.hi * k, self.lo * k, self.bits)
+        """Exact multiplication by an integer k >= 0."""
+        return BigReal(self.lo * k, self.hi * k, self.bits)
 
     def divide(self, other: "BigReal") -> "BigReal":
-        """Quotient interval from the two extreme endpoint quotients.
-
-        For a positive divisor the smallest quotient divides self.lo by
-        other.hi when self.lo >= 0 and by other.lo otherwise, and the largest
-        divides self.hi by other.lo when self.hi >= 0 and by other.hi
-        otherwise; a negative divisor is reduced to that case by negating both
-        operands.  The result equals the floor/ceiling of the min/max over all
-        four endpoint quotients.
-        """
+        """Quotient interval [lo 2^b // other.hi, ceil(hi 2^b / other.lo)]: for
+        non-negative operands these are the least and the greatest of the four
+        endpoint quotients.  Raises ZeroDivisionError when other.lo is 0."""
         self._require_same_precision(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("divisor interval contains zero")
-        if other.hi < 0:
-            return BigReal(-self.hi, -self.lo, self.bits).divide(
-                BigReal(-other.hi, -other.lo, other.bits))
-        lo = (self.lo << self.bits) // (other.hi if self.lo >= 0 else other.lo)
-        hi = _ceil_div(self.hi << self.bits, other.lo if self.hi >= 0 else other.hi)
-        return BigReal(lo, hi, self.bits)
+        if other.lo <= 0:
+            raise ZeroDivisionError("divisor interval reaches zero")
+        return BigReal((self.lo << self.bits) // other.hi,
+                       _ceil_div(self.hi << self.bits, other.lo), self.bits)
 
     # -- certified queries ----------------------------------------------------
 
@@ -177,7 +128,7 @@ class BigReal:
         if num < 0 or den <= 0:
             raise ValueError("atan_fraction requires num/den >= 0")
         if num == 0:
-            return cls.from_int(0, bits)
+            return cls(0, 0, bits)
         work = bits + _GUARD_BITS
         if 2 * num > den:
             pi = cls.pi(work)
@@ -210,7 +161,8 @@ class BigReal:
                 total_lo -= 2
                 total_hi += 2
                 break
-        return cls(total_lo, total_hi, work).round_to(bits)
+        # arctan x >= 0 for x >= 0, so a lower endpoint below zero is clamped
+        return cls(max(total_lo, 0), total_hi, work).round_to(bits)
 
     @classmethod
     def pi(cls, bits: int) -> "BigReal":

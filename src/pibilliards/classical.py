@@ -41,23 +41,16 @@ _TIE_ABS_TOL = 1e-9
 _RATIO_TIES = {1: 3, 3: 5}
 
 
-class SimulationConsistencyError(RuntimeError):
+class SimulationConsistencyError(ArithmeticError):
     """The event loop exceeded the theoretical collision bound."""
 
 
-class IndeterminateFloorError(RuntimeError):
+class IndeterminateFloorError(ArithmeticError):
     """The floor could not be certified within the precision ceiling."""
 
 
-class PiDigitsMismatchError(RuntimeError):
-    """The two independent digit routes disagree."""
-
-    def __init__(self, collision_count: int, pi_floor: int):
-        self.collision_count = collision_count
-        self.pi_floor = pi_floor
-        super().__init__(
-            f"collision-count route gives {_format_int(collision_count)}, "
-            f"independent floor(pi*10^N) gives {_format_int(pi_floor)}")
+class PiDigitsMismatchError(ArithmeticError):
+    """The independent routes of the digit certificate disagree."""
 
 
 class CollisionKind(str, enum.Enum):
@@ -190,14 +183,17 @@ def count_certified(ratio: float) -> int:
 
     ``ratio`` is taken as the exact rational p/q it holds, so
     beta = arctan(sqrt(q/p)) exactly.  sqrt(q/p) is bracketed by
-    ``math.isqrt`` at b bits, and beta by the arctan intervals at the two
-    dyadic endpoints; the floor of the interval pi/beta is the count once it
-    is certified.  b starts at 64 bits plus about |log2(ratio)|, and is
-    doubled at most ``_MAX_DOUBLINGS`` times: above 1, pi/beta grows like
+    ``math.isqrt`` at b bits as [r, r + 1] / 2^b, and beta by one arctan
+    interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b]: arctan is
+    increasing and 1-Lipschitz, so arctan((r + 1) / 2^b) <= arctan(r / 2^b)
+    + 2^-b.  The floor of the interval pi/beta is the count once it is
+    certified.  b starts at 64 bits plus about |log2(ratio)|, and is doubled
+    at most ``_MAX_DOUBLINGS`` times: above 1, pi/beta grows like
     pi sqrt(ratio) while beta's relative error grows like sqrt(ratio) 2^-b;
-    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).  By Niven's theorem pi/beta is an integer only
-    at M/m = 1/3, 1 and 3 (beta = pi/3, pi/4, pi/6), and 1/3 is no double;
-    the last boundary ray is grazed there, so M/m = 1 and 3 give 3 and 5.
+    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).  By Niven's
+    theorem pi/beta is an integer only at M/m = 1/3, 1 and 3 (beta = pi/3,
+    pi/4, pi/6), and 1/3 is no double; the last boundary ray is grazed there,
+    so M/m = 1 and 3 give 3 and 5.
     """
     _check_positive("mass ratio", ratio)
     exact = Fraction(ratio)
@@ -207,8 +203,9 @@ def count_certified(ratio: float) -> int:
     start = 64 + abs(p.bit_length() - q.bit_length())
     for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
         root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
-        beta = BigReal(BigReal.atan_fraction(root, 1 << bits, bits).lo,
-                       BigReal.atan_fraction(root + 1, 1 << bits, bits).hi, bits)
+        low = BigReal.atan_fraction(root, 1 << bits, bits)
+        # arctan is increasing and 1-Lipschitz, so beta <= low.hi + 2^-bits
+        beta = BigReal(low.lo, low.hi + 1, bits)
         count = BigReal.pi(bits).divide(beta).floor_certified()
         if count is not None:
             return count
@@ -274,11 +271,13 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
         if scaled_floor is None or count is None:
             continue
         if scaled_floor != oracle:
-            raise RuntimeError(
+            raise PiDigitsMismatchError(
                 f"certified interval floor {_format_int(scaled_floor)} disagrees "
                 f"with the mpmath floor {_format_int(oracle)}")
         if count != oracle:
-            raise PiDigitsMismatchError(count, oracle)
+            raise PiDigitsMismatchError(
+                f"collision-count route gives {_format_int(count)}, "
+                f"independent floor(pi*10^N) gives {_format_int(oracle)}")
         return PiDigitsResult(oracle, digits, bits, count, scaled_floor)
 
     raise IndeterminateFloorError(

@@ -8,8 +8,9 @@ parameter provenance; runs are deterministic, so identical configurations
 produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error or non-finite input, 3 numerical
-indeterminacy (an uncertified floor, or a NaN or infinite value in what would
-be printed or written).
+indeterminacy (an uncertified floor, a disagreement between the routes of the
+digit certificate, or a NaN or infinite value in what would be printed or
+written).
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import (CollisionTrace, IndeterminateFloorError,
-                        PiDigitsMismatchError, classical_curve,
-                        classical_eta_curve, count_certified, count_closed_form,
-                        pi_digits_detail, simulate)
+from .classical import (CollisionTrace, classical_curve, classical_eta_curve,
+                        count_certified, count_closed_form, pi_digits_detail,
+                        simulate)
 from .core import BilliardParams, DomainError, _check_beta
 from .curves import CurveSeries, _format_int, format_sig
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, phase_shift,
@@ -308,11 +308,10 @@ def run(args: argparse.Namespace) -> int:
         # NaN/inf results are reported by _check_finite, not as numpy warnings
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args)
-    except (IndeterminateFloorError, PiDigitsMismatchError, FloatingPointError,
-            OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE
-    except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -37,7 +37,7 @@ AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
 _THETA_NODES = 320  # Gauss-Legendre nodes of the mean-angle quadrature
 
 
-class CylinderPrecisionError(RuntimeError):
+class CylinderPrecisionError(ArithmeticError):
     """Certified cylinder-function accuracy could not be reached."""
 
 

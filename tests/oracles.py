@@ -6,7 +6,9 @@ representation (not from scipy); the accumulated Bohr phase comes from an
 adaptive ODE integration of the Bohr frequency (not from the closed form);
 mean angles come from adaptive quadrature (not from Gauss-Legendre), and the
 outgoing one also from the closed form of the H2 = J - iY pair (not from
-quadrature of the conjugated H1 pair); the
+quadrature of the conjugated H1 pair); channel phase shifts come from the
+phase of H1 integrated through its Wronskian (not from the closed form
+(l + 1/2) pi); the
 classical curves are replayed from the float event trace of ``simulate`` and
 evaluated on the folded straight line in high-precision arithmetic (not from
 the vectorized unfolding); pi comes from the Machin series and interval
@@ -167,6 +169,48 @@ def theta_mean_outgoing_closed_form(rho: float, n: int, beta: float) -> float:
     dens = abs(h_l) ** 2 + abs(h_lp) ** 2
     coefficient = 8.0 * n * (n + 1) / (2 * n + 1) ** 2
     return beta / 2.0 - (beta / math.pi ** 2) * coefficient * cross / dens
+
+
+def phase_shift_from_waves(order: float, x_max: float) -> float:
+    """delta = 2 lim_{x->inf} (x - arg H1_order(x)), measured from the waves.
+
+    The Wronskian J Y' - J' Y = 2/(pi t) gives the continuous phase
+    arg H1(x) = -pi/2 + int_0^x f dt with f = 2/(pi t |H1(t)|^2).  The
+    integral starts where yv becomes finite, found by bisection: below that
+    t0, |Y| exceeds the double range, so the part before it is far below one
+    ulp.  It is summed as x - pi/2 - t0 - int_t0^x (1 - f) dt, over geometric
+    breakpoints that follow the (mu - 1)/(8 t^2) decay of 1 - f.  At large t
+    scipy's J and Y carry about 1e-9 relative noise, which the quadrature
+    accumulates, so the integral only picks the branch of atan2(Y, J) at
+    x_max, whose own error is that 1e-9.  The limit is then corrected by the
+    asymptotic phase terms (mu - 1)/(8x) and (mu - 1)(mu - 25)/(384 x^3) with
+    mu = 4 order^2.
+    """
+    from scipy import special as sp
+
+    lo, t0 = 0.0, order  # yv is infinite at lo and finite at t0
+    for _ in range(60):
+        mid = (lo + t0) / 2
+        lo, t0 = (lo, mid) if math.isfinite(sp.yv(order, mid)) else (mid, t0)
+
+    def one_minus_f(t):
+        j, y = float(sp.jv(order, t)), float(sp.yv(order, t))
+        return 1.0 - 2.0 / (math.pi * t * (j * j + y * y))
+
+    breaks = [t0] + [b for b in (0.5 * order, 0.9 * order) if b > t0]
+    b = 1.1 * order
+    while b < x_max:
+        breaks.append(b)
+        b *= 2
+    breaks.append(x_max)
+    rest = math.fsum(integrate.quad(one_minus_f, a, b, limit=200, epsabs=1e-3,
+                                    epsrel=1e-9)[0] for a, b in zip(breaks, breaks[1:]))
+    phase = x_max - math.pi / 2 - t0 - rest
+    branch = math.atan2(sp.yv(order, x_max), sp.jv(order, x_max))
+    phase = branch + 2 * math.pi * round((phase - branch) / (2 * math.pi))
+    mu = 4.0 * order * order
+    return 2.0 * (x_max - phase + (mu - 1) / (8 * x_max)
+                  + (mu - 1) * (mu - 25) / (384 * x_max ** 3))
 
 
 def two_level_mean_position_quadrature(n: int, phase: float, x: float) -> float:

@@ -260,6 +260,17 @@ def test_indeterminate_exit_code(monkeypatch, capsys):
     assert "not certified" in err
 
 
+@pytest.mark.parametrize("argv", [["digits", "--N", "3"], ["count", "--N", "3"]])
+def test_certificate_route_disagreement_exit_3(argv, monkeypatch, capsys):
+    from pibilliards import classical
+    true_floor = classical._pi_floor_independent
+    monkeypatch.setattr(classical, "_pi_floor_independent", lambda n: true_floor(n) + 1)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("pibilliards: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--mass-ratio", "inf"],
     ["simulate", "--N", "1", "--x0", "inf"],

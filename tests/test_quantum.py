@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_j_integral, bessel_j_series, bessel_y_integral, \
-    theta_mean_adaptive, theta_mean_outgoing_closed_form
+    phase_shift_from_waves, theta_mean_adaptive, theta_mean_outgoing_closed_form
 from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, DomainError,
-                         amplitude_coefficient, count_extrema, cyl_j, cyl_y,
-                         cylinder, eta_of, first_extremum_abscissa, hankel1,
+                         amplitude_coefficient, count_closed_form,
+                         count_extrema, cyl_j, cyl_y, cylinder, eta_of,
+                         first_extremum_abscissa, hankel1,
                          phase_shift, phase_shift_difference,
                          sample_quantum_curve, theta_mean,
                          theta_mean_quadrature)
@@ -135,6 +136,20 @@ def test_phase_shift_heavy_mass_correspondence():
 def test_phase_shift_independent_of_k():
     # the formula takes no wavenumber at all; it only depends on the channel
     assert phase_shift(2, BETA10) == (2 * math.pi / BETA10 + 0.5) * math.pi
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(2.0, 1000.0))
+def test_phase_shift_spacing_heard_from_the_waves(r):
+    # the channel spacing measured from the phase of H1 spells out the count
+    beta = math.atan2(1.0, r)  # arccot of R = sqrt(M/m)
+    assume(abs(math.pi / beta - round(math.pi / beta)) > 1e-6)
+    l, lp = math.pi / beta, 2 * math.pi / beta
+    delta = phase_shift_from_waves(l, 200 * lp)
+    spacing = phase_shift_from_waves(lp, 200 * lp) - delta
+    assert math.floor(spacing / math.pi) == count_closed_form(beta)
+    assert abs(spacing - math.pi ** 2 / beta) <= 1e-8 * math.pi ** 2 / beta
+    assert delta == pytest.approx(phase_shift(1, beta), rel=1e-8)
 
 
 # -- mean angle -------------------------------------------------------------------------
