@@ -4,7 +4,7 @@ A heavy ball slides toward a light ball resting near a hard wall; all
 collisions are elastic.  The total number of collisions is finite and, for a
 mass ratio M/m = 100**N, equals the integer part of pi * 10**N.  This module
 provides the event-driven simulation (used as the counting oracle), the
-closed-form count floor(pi/beta) with its integer-tie correction, the
+certified closed-form count floor(pi/beta) with its integer-tie window, the
 certified count at an exact mass ratio, a certified extraction of
 floor(pi * 10**N) based on interval arithmetic plus an independent
 high-precision series, and the trajectory curves.
@@ -163,19 +163,36 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     return CollisionTrace(params, initial, tuple(events), len(events), drift)
 
 
-def count_closed_form(beta: float) -> int:
-    """Collision count floor(pi/beta), with pi/beta - 1 at exact integer ties.
+def _enclose(x: Fraction, bits: int) -> BigReal:
+    """The narrowest interval at ``bits`` bits that contains the rational x >= 0."""
+    scaled = x.numerator << bits
+    return BigReal(scaled // x.denominator, -(-scaled // x.denominator), bits)
 
-    pi/beta within an absolute 1e-9 of an integer is snapped to the tie: for
-    those geometries (beta = pi/4, pi/6, ...) the final boundary ray of the
-    unfolded wedge is grazed, not crossed, so the count drops by one.
+
+def count_closed_form(beta: float) -> int:
+    """Collision count floor(pi/beta - 1e-9), certified.
+
+    pi/beta within an absolute 1e-9 of an integer k counts as the exact tie:
+    for those geometries (beta = pi/4, pi/6, ...) the final boundary ray of
+    the unfolded wedge is grazed, not crossed, so the count is k - 1.  beta
+    and the window 1e-9 are taken as the exact rationals the doubles hold, and
+    the floor of the interval pi/beta - 1e-9 is certified from 64 bits plus
+    the bit length of beta's denominator, doubled at most ``_MAX_DOUBLINGS``
+    times; at that start the interval is narrower than about 2^-60.  Raises
+    OverflowError where pi/beta overflows a double.
     """
     _check_beta(beta)
-    q = math.pi / beta
-    nearest = round(q)
-    if abs(q - nearest) <= _TIE_ABS_TOL:
-        return int(nearest) - 1
-    return math.floor(q)
+    if math.pi / beta == math.inf:
+        raise OverflowError(f"pi/beta overflows a double at beta = {beta!r}")
+    exact, window = Fraction(beta), Fraction(_TIE_ABS_TOL)
+    start = 64 + exact.denominator.bit_length()
+    for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
+        ratio = BigReal.pi(bits).divide(_enclose(exact, bits))
+        count = (ratio - _enclose(window, bits)).floor_certified()
+        if count is not None:
+            return count
+    raise IndeterminateFloorError(
+        f"collision count not certified for beta = {beta!r} within {bits} bits")
 
 
 def count_certified(ratio: float) -> int:

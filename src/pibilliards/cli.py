@@ -40,26 +40,8 @@ _EXIT_USAGE = 2
 _EXIT_INDETERMINATE = 3
 
 
-def _add_geometry(parser: argparse.ArgumentParser, with_params_file: bool = False) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta", type=float, help="wedge angle in radians")
-    group.add_argument("--mass-ratio", type=float, help="mass ratio M/m")
-    group.add_argument("--N", type=int, help="decade exponent: M/m = 100**N")
-    if with_params_file:
-        group.add_argument("--params", type=Path,
-                           help='JSON file {"M": ..., "m": ..., "hbar": ...}')
-
-
-def _add_common(parser: argparse.ArgumentParser, floats: bool = True) -> None:
-    if floats:
-        parser.add_argument("--precision", type=int, default=12,
-                            help="significant digits in numeric output (default 12)")
-    parser.add_argument("--manifest", type=Path, default=None,
-                        help="override the manifest path")
-
-
 def _geometry_params(args) -> BilliardParams:
-    if getattr(args, "params", None) is not None:
+    if args.params is not None:
         return BilliardParams.from_json(args.params.read_text())
     if args.beta is not None:
         return BilliardParams.from_beta(args.beta)
@@ -78,9 +60,8 @@ def _geometry_beta(args) -> float:
 
 
 def _geometry_provenance(args) -> dict:
-    keys = ("beta", "mass_ratio", "N")
-    prov = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "params", None) is not None:
+    prov = {k: getattr(args, k) for k in ("beta", "mass_ratio", "N")}
+    if args.params is not None:
         prov["params_file"] = str(args.params)
     return prov
 
@@ -123,13 +104,16 @@ def _finish(args, parameters: dict, outputs: list[Path] | None = None,
     return _EXIT_OK
 
 
-def _emit_series(series: CurveSeries, args, parameters: dict) -> int:
+def _emit_series(series: CurveSeries, args, **parameters) -> int:
+    """Write a curve to --out; the manifest records geometry, --n, --samples, ``parameters``."""
     _check_finite(f"{args.command} curve", series.xs, series.ys)
     out: Path = args.out
     if args.format == "json":
         series.to_json(out, sig=args.precision)
     else:
         series.to_csv(out, sig=args.precision)
+    parameters = {**_geometry_provenance(args), "n": args.n, "samples": args.samples,
+                  **parameters}
     return _finish(args, parameters, [out],
                    series_labels={k: str(v) for k, v in series.labels.items()},
                    series_metadata=series.metadata)
@@ -186,17 +170,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_semiclassical(args) -> int:
     cfg = SemiclassicalConfig(n=args.n, params=_geometry_params(args))
-    series = sample_curve(cfg, grid=args.samples)
-    return _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                       "samples": args.samples})
+    return _emit_series(sample_curve(cfg, grid=args.samples), args)
 
 
 def _cmd_quantum(args) -> int:
-    beta = _geometry_beta(args)
-    series = sample_quantum_curve(args.n, beta, grid=args.samples)
-    return _emit_series(series, args, {**_geometry_provenance(args), "n": args.n,
-                                       "samples": args.samples,
-                                       "amplitude_coefficient_rule": AMPLITUDE_COEFFICIENT_RULE})
+    series = sample_quantum_curve(args.n, _geometry_beta(args), grid=args.samples)
+    return _emit_series(series, args, amplitude_coefficient_rule=AMPLITUDE_COEFFICIENT_RULE)
 
 
 def _cmd_phaseshift(args) -> int:
@@ -237,6 +216,17 @@ def _cmd_figures(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _precision(text: str) -> int:
+    """The --precision value: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -245,61 +235,47 @@ def build_parser() -> argparse.ArgumentParser:
                     "and certified digits of pi.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("digits", help="certified floor(pi * 10^N)")
-    p.add_argument("--N", type=int, required=True)
-    _add_common(p, floats=False)
+    def command(name, handler, summary, *options, geometry=True, params_file=False, floats=True):
+        """Subcommand ``name``, run by ``handler``: the geometry group, the (flag,
+        keywords) ``options``, --precision when it prints floats, and --manifest."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, params=None)
+        if geometry:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--beta", type=float, help="wedge angle in radians")
+            group.add_argument("--mass-ratio", type=float, help="mass ratio M/m")
+            group.add_argument("--N", type=int, help="decade exponent: M/m = 100**N")
+            if params_file:
+                group.add_argument("--params", type=Path,
+                                   help='JSON file {"M": ..., "m": ..., "hbar": ...}')
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        if floats:
+            p.add_argument("--precision", type=_precision, default=12,
+                           help="significant digits in numeric output (default 12)")
+        p.add_argument("--manifest", type=Path, help="override the manifest path")
 
-    p = sub.add_parser("count", help="total collision count for a geometry")
-    _add_geometry(p)
-    _add_common(p, floats=False)
-
-    p = sub.add_parser("simulate", help="event-driven collision trace")
-    _add_geometry(p, with_params_file=True)
-    p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=10.0)
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--trace", type=Path, default=None,
-                   help="write the event trace CSV here")
-    _add_common(p)
-
-    p = sub.add_parser("semiclassical", help="mean-position oscillation curve")
-    _add_geometry(p)
-    p.add_argument("--n", type=int, default=1, help="lower quantum number")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
-
-    p = sub.add_parser("quantum", help="mean-angle oscillation curve")
-    _add_geometry(p)
-    p.add_argument("--n", type=int, default=1, help="channel index")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
-
-    p = sub.add_parser("phaseshift", help="channel phase shift and spacing")
-    _add_geometry(p)
-    p.add_argument("--n", type=int, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("figures", help="write the full curve bundle")
-    p.add_argument("--outdir", type=Path, required=True)
-    p.add_argument("--samples", type=int, default=2000)
-    _add_common(p)
-
+    samples = ("--samples", {"type": int, "default": 2000})
+    curve = (samples, ("--out", {"type": Path, "required": True}),
+             ("--format", {"choices": ("csv", "json"), "default": "csv"}))
+    command("digits", _cmd_digits, "certified floor(pi * 10^N)",
+            ("--N", {"type": int, "required": True}), geometry=False, floats=False)
+    command("count", _cmd_count, "total collision count for a geometry", floats=False)
+    command("simulate", _cmd_simulate, "event-driven collision trace",
+            ("--v0", {"type": float, "default": 1.0}),
+            ("--x0", {"type": float, "default": 10.0}),
+            ("--y0", {"type": float, "default": 1.0}),
+            ("--trace", {"type": Path, "help": "write the event trace CSV here"}),
+            params_file=True)
+    command("semiclassical", _cmd_semiclassical, "mean-position oscillation curve",
+            ("--n", {"type": int, "default": 1, "help": "lower quantum number"}), *curve)
+    command("quantum", _cmd_quantum, "mean-angle oscillation curve",
+            ("--n", {"type": int, "default": 1, "help": "channel index"}), *curve)
+    command("phaseshift", _cmd_phaseshift, "channel phase shift and spacing",
+            ("--n", {"type": int, "default": 1}))
+    command("figures", _cmd_figures, "write the full curve bundle",
+            ("--outdir", {"type": Path, "required": True}), samples, geometry=False)
     return parser
-
-
-_HANDLERS = {
-    "digits": _cmd_digits,
-    "count": _cmd_count,
-    "simulate": _cmd_simulate,
-    "semiclassical": _cmd_semiclassical,
-    "quantum": _cmd_quantum,
-    "phaseshift": _cmd_phaseshift,
-    "figures": _cmd_figures,
-}
 
 
 def run(args: argparse.Namespace) -> int:
@@ -307,7 +283,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         # NaN/inf results are reported by _check_finite, not as numpy warnings
         with np.errstate(all="ignore"):
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except ArithmeticError as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE
@@ -317,9 +293,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

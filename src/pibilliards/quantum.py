@@ -34,7 +34,7 @@ CYLINDER_TOLERANCE = 1e-10
 # n = 1 and is rejected.
 AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
 
-_THETA_NODES = 320  # Gauss-Legendre nodes of the mean-angle quadrature
+_THETA_NODES = 320  # least Gauss-Legendre nodes of the mean-angle quadrature
 
 
 class CylinderPrecisionError(ArithmeticError):
@@ -150,11 +150,13 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
                           wave: str = "incident") -> float:
     """Mean sector angle by direct quadrature of the wavefunction density.
 
-    Integrates theta |Psi|^2 over the sector (fixed 320-node Gauss-Legendre
-    rule) for the two-channel incident (H1) or outgoing (conj(H1), which is
-    H2 for real order and argument) wave at the dimensionless radius ``rho`` =
-    k rho, as in :func:`theta_mean`.  This path makes no use of the closed
-    form above and is the only exposed route to the outgoing-wave mean angle.
+    Integrates theta |Psi|^2 over the sector (a Gauss-Legendre rule of 320
+    nodes, or of 2(n + 1) + 32 from n = 144 on, which resolves the sines of
+    both channels) for the two-channel incident (H1) or outgoing (conj(H1),
+    which is H2 for real order and argument) wave at the dimensionless radius
+    ``rho`` = k rho, as in :func:`theta_mean`.  This path makes no use of the
+    closed form above and is the only exposed route to the outgoing-wave mean
+    angle.
     """
     _check_quantum_number(n)
     _check_beta(beta)
@@ -166,7 +168,7 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
     if wave == "outgoing":
         h_l, h_lp = np.conj(h_l), np.conj(h_lp)
     c = math.pi / (2.0 * beta)
-    theta, wt = _gauss_legendre(_THETA_NODES, beta)
+    theta, wt = _gauss_legendre(_THETA_NODES, beta, n)
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)
     density = np.abs(psi) ** 2
     return float(np.sum(wt * theta * density) / np.sum(wt * density))

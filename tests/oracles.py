@@ -343,3 +343,9 @@ def count_floor_mp(ratio: float, dps: int = 80) -> int:
     """floor(pi / arccot(sqrt(ratio))) for the exact double ``ratio``, at ``dps`` digits."""
     with mpmath.workdps(dps):
         return int(mpmath.floor(mpmath.pi / mpmath.acot(mpmath.sqrt(mpmath.mpf(ratio)))))
+
+
+def closed_form_floor_mp(beta: float, dps: int = 400) -> int:
+    """floor(pi / beta - 1e-9) for the exact doubles ``beta`` and 1e-9, at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        return int(mpmath.floor(mpmath.pi / mpmath.mpf(beta) - mpmath.mpf(1e-9)))

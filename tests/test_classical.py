@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (count_floor_mp, folded_line_angle_mp,
+from oracles import (closed_form_floor_mp, count_floor_mp, folded_line_angle_mp,
                      folded_line_position_mp, replay_angle_curve,
                      replay_position_curve, replay_rho_min_and_time)
 
@@ -106,6 +106,16 @@ def test_closed_form_integer_tie_rule():
     # exact integer pi/beta loses the grazed final ray
     assert count_closed_form(math.pi / 10) == 9
     assert count_closed_form(math.pi / 2) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(-300.0, 0.19).map(lambda e: 10.0 ** e),
+                 st.integers(2, 10 ** 12).map(lambda k: math.pi / k)))
+@example(1e-17)
+def test_closed_form_matches_mpmath_floor(beta):
+    # from pi/beta ~ 1e7 on, the double pi/beta can miss this floor: at 1e-17
+    # it gives 314159265358979263 where the floor is ...301
+    assert count_closed_form(beta) == closed_form_floor_mp(beta)
 
 
 def test_closed_form_domain():

@@ -60,6 +60,10 @@ def test_count_by_beta(capsys):
     code, out, _ = run_cli(["count", "--beta", str(math.pi / 6)], capsys)
     assert code == 0
     assert out == "5\n"
+    # certified: the double pi/beta gives ...263
+    code, out, _ = run_cli(["count", "--beta", "1e-17"], capsys)
+    assert code == 0
+    assert out == "314159265358979301\n"
 
 
 @pytest.mark.parametrize("ratio", [
@@ -252,11 +256,15 @@ def test_precision_flag(tmp_path, capsys):
     assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 5
 
 
-def test_indeterminate_exit_code(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["digits", "--N", "4"], ["count", "--mass-ratio", "2"], ["count", "--beta", "0.3"],
+], ids=["digits", "count-mass-ratio", "count-beta"])
+def test_indeterminate_exit_code(argv, monkeypatch, capsys):
     from pibilliards.bigreal import BigReal
     monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
-    code, _, err = run_cli(["digits", "--N", "4"], capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 3
+    assert out == ""
     assert "not certified" in err
 
 
@@ -280,17 +288,23 @@ def test_certificate_route_disagreement_exit_3(argv, monkeypatch, capsys):
     ["digits", "--N", "3", "--precision", "5"],
     ["semiclassical", "--N", "155"],  # M/m = 100**N beyond the double range
     ["simulate", "--N", "155"],
+    # --precision below 1 is refused before any file is written
+    ["semiclassical", "--N", "1", "--precision", "0"],
+    ["quantum", "--beta", "0.3", "--samples", "16", "--precision", "-1"],
+    ["figures", "--samples", "16", "--outdir", "figs", "--precision", "-1"],
+    ["simulate", "--N", "1", "--trace", "t.csv", "--precision", "-1"],
+    ["simulate", "--N", "1", "--trace", "t.csv", "--precision", "0"],
 ])
-def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, capsys):
-    out_path = tmp_path / "c.csv"
+def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     if argv[0] in ("semiclassical", "quantum"):
-        argv = [*argv, "--out", str(out_path)]
+        argv = [*argv, "--out", "c.csv"]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects an unknown option this way
         code = exc.code
     assert code == 2
-    assert not out_path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -52,6 +52,12 @@ def test_berry_connection_quadrature_tiny():
             assert abs(berry_connection(n, x)) < 1e-10
 
 
+@pytest.mark.parametrize("n, x", [(260, 1.0), (300, 0.7), (300, 1.0), (300, 1.7), (1000, 1.0)])
+def test_berry_connection_resolves_large_n(n, x):
+    # beyond n = 183 the rule must grow: 400 nodes give 15.3 at n = 260
+    assert abs(berry_connection(n, x)) < 1e-10
+
+
 # -- speed law --------------------------------------------------------------------
 
 def test_speed_vanishes_at_turning_point():
