@@ -14,8 +14,8 @@ Regular and Chaotic Dynamics 8(4), 2003): in the mass-scaled plane
 (sqrt(M) x, sqrt(m) y) the whole process is the straight line at height
 rho_min = sqrt(m) y0, with polar angle phi = pi/2 + alpha folded back into
 the wedge with period 2 beta; the k-th collision is the crossing phi = k beta.
-Every sample is a closed form; only the collision count and the energy drift
-come from :func:`simulate`.
+Every sample and the collision count are closed forms; :func:`simulate` is the
+``simulate`` command and the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _MAX_DOUBLINGS = 3
 _TIE_ABS_TOL = 1e-9
 
 # The mass ratios whose pi/beta is an exact integer, and their counts.
-_RATIO_TIES = {1: 3, 3: 5}
+_RATIO_TIES = {Fraction(1, 3): 2, 1: 3, 3: 5}
 
 
 class SimulationConsistencyError(ArithmeticError):
@@ -195,11 +195,11 @@ def count_closed_form(beta: float) -> int:
         f"collision count not certified for beta = {beta!r} within {bits} bits")
 
 
-def count_certified(ratio: float) -> int:
+def count_certified(ratio: float | Fraction) -> int:
     """Collision count floor(pi/beta) at the mass ratio M/m = ``ratio``, certified.
 
-    ``ratio`` is taken as the exact rational p/q it holds, so
-    beta = arctan(sqrt(q/p)) exactly.  sqrt(q/p) is bracketed by
+    ``ratio``, a double or a Fraction, is taken as the exact rational p/q it
+    holds, so beta = arctan(sqrt(q/p)) exactly.  sqrt(q/p) is bracketed by
     ``math.isqrt`` at b bits as [r, r + 1] / 2^b, and beta by one arctan
     interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b]: arctan is
     increasing and 1-Lipschitz, so arctan((r + 1) / 2^b) <= arctan(r / 2^b)
@@ -209,8 +209,9 @@ def count_certified(ratio: float) -> int:
     pi sqrt(ratio) while beta's relative error grows like sqrt(ratio) 2^-b;
     below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).  By Niven's
     theorem pi/beta is an integer only at M/m = 1/3, 1 and 3 (beta = pi/3,
-    pi/4, pi/6), and 1/3 is no double; the last boundary ray is grazed there,
-    so M/m = 1 and 3 give 3 and 5.
+    pi/4, pi/6); the last boundary ray is grazed there, so they give 2, 3
+    and 5.  1/3 is no double, but the exact ratio of two masses that the
+    curves pass can be.
     """
     _check_positive("mass ratio", ratio)
     exact = Fraction(ratio)
@@ -315,21 +316,17 @@ def _fold(phi, beta: float):
     return np.where(m > beta, 2.0 * beta - m, m)
 
 
-def _unfolded_metadata(params: BilliardParams) -> tuple[CollisionTrace, dict]:
-    """The simulated trace and the provenance both curves record.
-
-    The trace starts from v0 = 1, x0 = 10, y0 = 1: the curves and the count
-    depend on beta alone.  Only the count and the energy drift are taken from
-    it: its exact integers settle float ties (beta = pi/10 gives 10
-    collisions where the closed-form count at the exact tie is 9).
-    """
+def _unfolded_metadata(params: BilliardParams) -> dict:
+    """The provenance both curves record: the start v0 = 1, x0 = 10, y0 = 1
+    (the curves depend on beta alone) and :func:`count_certified` at the exact
+    rational M/m of the masses, so cot^2(pi/10) as a double gives 10 where the
+    exact tie beta = pi/10 gives 9."""
     v0, x0, y0 = 1.0, 10.0, 1.0
-    trace = simulate(params, v0, x0, y0)
-    return trace, {
+    return {
         "beta": params.wedge_angle,
         "mass_ratio": params.M / params.m,
         "v0": v0, "x0": x0, "y0": y0,
-        "collision_count": trace.count,
+        "collision_count": count_certified(Fraction(params.M) / Fraction(params.m)),
         "rho_min": math.sqrt(params.m) * y0,
     }
 
@@ -342,10 +339,10 @@ def classical_curve(params: BilliardParams, samples: int = 2000) -> CurveSeries:
     corner, and recedes.  The values come from the unfolded straight line,
     y/x = R tan(fold(pi/2 + alpha)); collision events appear as slope breaks
     at alpha_k = k beta - pi/2, recorded in the metadata for k = 1 .. the
-    count of :func:`simulate` from the fixed start v0 = 1, x0 = 10, y0 = 1.
+    certified count of :func:`_unfolded_metadata`.
     """
     alphas = _alpha_grid(samples)
-    trace, metadata = _unfolded_metadata(params)
+    metadata = _unfolded_metadata(params)
     beta = params.wedge_angle
     ys = params.mass_ratio_root * np.tan(_fold(math.pi / 2 + alphas, beta))
     return CurveSeries(
@@ -354,8 +351,7 @@ def classical_curve(params: BilliardParams, samples: int = 2000) -> CurveSeries:
         metadata={
             **metadata,
             "collision_alphas": [k * beta - math.pi / 2
-                                 for k in range(1, trace.count + 1)],
-            "max_energy_drift": trace.max_energy_drift,
+                                 for k in range(1, metadata["collision_count"] + 1)],
         })
 
 
@@ -367,10 +363,11 @@ def classical_eta_curve(params: BilliardParams, samples: int = 2000) -> CurveSer
     radius rho_min in place of the quantum one, and only the approach branch
     (the analogue of the incident wave) is emitted.  On that branch
     alpha = -eta, so the unfolded line gives theta/beta = fold(pi/2 - eta)/beta;
-    the collision count comes from the same fixed :func:`simulate` run.
+    the metadata, with the certified collision count, is that of
+    :func:`classical_curve`.
     """
     etas = _eta_grid(samples)
-    _, metadata = _unfolded_metadata(params)
+    metadata = _unfolded_metadata(params)
     beta = params.wedge_angle
     return CurveSeries(
         abscissa="eta", ordinate="theta_over_beta", xs=etas,

@@ -105,13 +105,17 @@ class BilliardParams:
 
     @classmethod
     def from_json(cls, text: str) -> "BilliardParams":
-        """Parse ``{"M": number, "m": number, "hbar": number}``; all keys optional."""
+        """Parse ``{"M": number, "m": number, "hbar": number}``; all keys
+        optional, and each value a JSON number (not a bool or a string)."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DomainError("parameter JSON must be an object")
         unknown = set(data) - {"M", "m", "hbar"}
         if unknown:
             raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(f"parameter {key} must be a JSON number, got {value!r}")
         return cls(M=float(data.get("M", 1.0)), m=float(data.get("m", 1.0)),
                    hbar=float(data.get("hbar", 1.0)))
 

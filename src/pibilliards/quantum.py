@@ -91,7 +91,9 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 
 def hankel1(nu, x):
     """H(1) = J + iY (incident radial wave); its conjugate is the outgoing wave."""
-    return cyl_j(nu, x) + 1j * cyl_y(nu, x)
+    h = np.array(cyl_j(nu, x), dtype=complex)
+    h.imag = cyl_y(nu, x)  # not J + 1j * Y: 0 * inf would make the real part NaN
+    return h[()]
 
 
 def phase_shift(n: int, beta: float) -> float:
@@ -130,15 +132,21 @@ def theta_mean(rho, n: int, beta: float):
                  * 2 Re[exp(i c pi) conj(H1_l) H1_l'] / (|H1_l|^2 + |H1_l'|^2)
 
     with C(n) = 8n(n+1)/(2n+1)^2 and c = pi/(2 beta).  ``rho`` is the
-    dimensionless radius k rho, the only way the wavenumber enters.  Valid for
-    any rho > 0; below the turning radius l the channel-(n+1) wave is
-    evanescent and the result flattens to beta/2.
+    dimensionless radius k rho, the only way the wavenumber enters.  Below
+    the turning radius l' the channel-(n+1) wave grows and the result
+    flattens to beta/2.  Where that wave passes 1e154 while |H1_l| < 1e134,
+    the cross term is below 2e-20 and is taken as 0, so no square overflows
+    (on rho >= l the value is finite up to rho of about 7e8, checked for
+    n <= 10 and M/m <= 1e8).  It is NaN where both waves overflow (rho well
+    below l), and beyond about 7e8, where scipy returns J = Y = 0.
     """
     _check_quantum_number(n)
     _check_beta(beta)
     x = np.asarray(rho, dtype=float)
     h_l = hankel1(n * math.pi / beta, x)
     h_lp = hankel1((n + 1) * math.pi / beta, x)
+    # |cross/dens| <= 2 |h_l|/|h_lp|: no ulp of beta/2 once channel n+1 swamps n
+    h_lp = np.where((np.abs(h_lp) >= 1e154) & (np.abs(h_l) < 1e134), 0.0, h_lp)
     c = math.pi / (2.0 * beta)
     cross = 2.0 * np.real(np.exp(1j * c * math.pi) * np.conj(h_l) * h_lp)
     dens = np.abs(h_l) ** 2 + np.abs(h_lp) ** 2

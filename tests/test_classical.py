@@ -14,7 +14,9 @@ from pibilliards import (BilliardParams, CollisionKind, DomainError,
                          classical_curve, classical_eta_curve,
                          count_certified, count_closed_form, pi_digits,
                          pi_digits_detail, simulate, to_polar)
+from pibilliards import classical
 from pibilliards.bigreal import BigReal
+from pibilliards.cli import main
 
 EPS = np.finfo(float).eps
 
@@ -150,6 +152,12 @@ def test_certified_count_ties_and_near_ties():
     assert count_certified(5e-324) == count_certified(2.2250738585072014e-308) == 2
 
 
+def test_certified_count_exact_third_tie():
+    # M/m = 1/3 (beta = pi/3) is no double, but the exact ratio of two masses
+    # can be it: the last ray is grazed, so the count is 2
+    assert count_certified(Fraction(1, 3)) == count_certified(Fraction(2, 6)) == 2
+
+
 def test_certified_count_domain_and_ceiling(monkeypatch):
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -276,6 +284,39 @@ def test_classical_eta_curve_incoming_branch():
     assert series.metadata["branch"] == "incoming"
     # near the far end (eta -> pi/2) the incoming angle is near the wedge floor
     assert series.ys[-1] < 0.2
+
+
+def test_curves_run_no_event_loop(monkeypatch, tmp_path):
+    # the curves take their count from the certified closed form
+    def event_loop(*args):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(classical, "simulate", event_loop)
+    p = BilliardParams.from_mass_ratio(1e8)
+    position = classical_curve(p, samples=16)
+    assert position.metadata["collision_count"] == 31415
+    assert len(position.metadata["collision_alphas"]) == 31415
+    assert "max_energy_drift" not in position.metadata
+    assert classical_eta_curve(p, samples=16).metadata["collision_count"] == 31415
+    assert main(["figures", "--samples", "64", "--outdir", str(tmp_path)]) == 0
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(lambda ratio, m: BilliardParams(ratio * m, m),
+                 log_uniform(1e-3, 1e4), log_uniform(1e-6, 1e6)))
+@example(BilliardParams(1, 3))
+@example(BilliardParams(2, 6))
+@example(BilliardParams(3, 1))
+@example(BilliardParams(1, 1))
+@example(BilliardParams.from_beta(math.pi / 10))
+def test_curve_count_matches_event_loop(params):
+    # closed form against event loop: both count at the exact ratio M/m
+    count = classical_curve(params, samples=2).metadata["collision_count"]
+    assert count == simulate(params, 1.0, 10.0, 1.0).count
 
 
 # -- unfolded curves against their oracles ------------------------------------------

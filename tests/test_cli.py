@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import pibilliards
+from pibilliards import BilliardParams, hankel1, quantum
 from pibilliards.cli import main
 
 
@@ -308,22 +310,41 @@ def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [
-    ["quantum", "--n", "7", "--mass-ratio", "1e6", "--samples", "300"],
+    ["quantum", "--beta", "0.3", "--samples", "16"],  # with a NaN mean angle
     ["phaseshift", "--beta", "1e-320"],
     ["count", "--beta", "1e-320"],
     ["simulate", "--N", "1", "--v0", "1e200"],
     ["simulate", "--N", "1", "--v0", "1e-300"],  # initial energy underflows to 0
 ])
-def test_nonfinite_output_exit_3(argv, tmp_path, capsys):
+def test_nonfinite_output_exit_3(argv, tmp_path, monkeypatch, capsys):
     # NaN or inf in what would be printed or written: nothing is emitted
     out_path = tmp_path / "q.csv"
     if argv[0] == "quantum":
         argv = [*argv, "--out", str(out_path)]
+        monkeypatch.setattr(quantum, "theta_mean",
+                            lambda rho, n, beta: np.full(np.shape(rho), np.nan))
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("pibilliards: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_quantum_curve_where_channel_n_plus_1_overflows(tmp_path, capsys):
+    # yv of order l' overflows on 51 of these radii; the cross term is 0 to
+    # double precision there, so the curve sits at theta/beta = 1/2
+    out_path = tmp_path / "q.csv"
+    code, out, _ = run_cli(["quantum", "--n", "7", "--mass-ratio", "1e6",
+                            "--samples", "300", "--out", str(out_path)], capsys)
+    assert code == 0 and out == ""
+    ys = np.array([float(line.split(",")[1])
+                   for line in out_path.read_text().splitlines()[1:]])
+    assert ys.size == 300 and np.all(np.isfinite(ys))
+    beta = BilliardParams.from_mass_ratio(1e6).wedge_angle
+    etas = (np.arange(300) + 0.5) * (math.pi / 600)
+    overflowed = np.isinf(np.abs(hankel1(8 * math.pi / beta, 7 * math.pi / beta / np.cos(etas))))
+    assert np.count_nonzero(overflowed) > 0
+    assert np.all(ys[overflowed] == 0.5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -356,12 +377,21 @@ def test_calls_in_one_process_do_not_leak(tmp_path, monkeypatch, capsys):
             == sorted((f.name, f.read_bytes()) for f in alone.iterdir())
 
 
-def test_bad_params_file_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"masses": [1, 2]}', "unknown parameter"),
+    # a value that is not a JSON number is refused, not coerced or crashed on
+    ('{"M": null}', "JSON number"),
+    ('{"M": [1]}', "JSON number"),
+    ('{"M": true}', "JSON number"),
+    ('{"M": "1e2"}', "JSON number"),
+], ids=["unknown-key", "null", "list", "bool", "string"])
+def test_bad_params_file_exit_code(text, message, tmp_path, capsys):
     pfile = tmp_path / "bad.json"
-    pfile.write_text('{"masses": [1, 2]}')
-    code, _, err = run_cli(["simulate", "--params", str(pfile)], capsys)
+    pfile.write_text(text)
+    code, out, err = run_cli(["simulate", "--params", str(pfile)], capsys)
     assert code == 2
-    assert "unknown parameter" in err
+    assert out == ""
+    assert err.startswith("pibilliards: ") and message in err
 
 
 def _run_fresh(argv, cwd=None):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_j_integral, bessel_j_series, bessel_y_integral, \
     phase_shift_from_waves, theta_mean_adaptive, theta_mean_outgoing_closed_form
-from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, DomainError,
+from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, BilliardParams, DomainError,
                          amplitude_coefficient, count_closed_form,
                          count_extrema, cyl_j, cyl_y, cylinder, eta_of,
                          first_extremum_abscissa, hankel1,
@@ -225,6 +225,19 @@ def test_theta_mean_flattens_below_turning_radius():
     rhos = np.linspace(0.3 * l, 0.9 * l, 24)
     vals = theta_mean(rhos, n, BETA10)
     assert np.all(np.abs(vals - BETA10 / 2) < 0.02 * BETA10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10), exponent=st.floats(2.0, 8.0))
+@example(n=1, exponent=5.0)
+def test_theta_mean_finite_where_channel_n_plus_1_overflows(n, exponent):
+    # on the curve grid rho = l / cos(eta), yv of order l' overflows from
+    # M/m = 1e5 (n = 1) on, and the cross term is 0 to double precision there.
+    # Beyond rho of about 7e8, which n >= 9 reaches at M/m = 1e8, scipy
+    # returns J = Y = 0 (still open), so the grid stops at 5e8
+    beta = BilliardParams.from_mass_ratio(10.0 ** exponent).wedge_angle
+    rhos = n * math.pi / beta / np.cos((np.arange(2000) + 0.5) * (math.pi / 4000))
+    assert np.all(np.isfinite(theta_mean(rhos[rhos < 5e8], n, beta)))
 
 
 def test_eta_of_values():
