@@ -76,11 +76,12 @@ class CurveSeries:
         return [self.abscissa, self.ordinate, *self.labels.keys()]
 
     def to_csv(self, path, sig: int = 12) -> None:
-        tail = [str(v) for v in self.labels.values()]
+        tail = "".join("," + str(v) for v in self.labels.values()) + "\n"
+        rows = [",".join(self.header()) + "\n"]
+        rows += [f"{format_sig(x, sig)},{format_sig(y, sig)}{tail}"
+                 for x, y in zip(self.xs.tolist(), self.ys.tolist())]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.header()) + "\n")
-            for x, y in zip(self.xs, self.ys):
-                fh.write(",".join([format_sig(x, sig), format_sig(y, sig), *tail]) + "\n")
+            fh.write("".join(rows))
 
     def to_json(self, path, sig: int = 12) -> None:
         payload = {

@@ -62,9 +62,25 @@ def cyl_j(nu, x):
 
 
 def cyl_y(nu, x):
-    """Bessel function of the second kind, real order nu >= 0, x > 0."""
+    """Bessel function of the second kind, real order nu >= 0, x > 0.
+
+    Taken as Im H1: AMOS builds Y from the Hankel pair, so ``yv`` computes
+    both H1 and H2 where ``hankel1`` computes one, and Im H1 equals
+    ``scipy.special.yv`` bit for bit wherever ``hankel1`` gives a value (a
+    property test pins this).  Where it gives NaN (Y overflows, the argument
+    or order is beyond AMOS's range, or the order is subnormal) the points
+    are evaluated by ``yv``, so the result is ``yv``'s everywhere.
+    """
     _check_order_argument(nu, x)
-    return _sp.yv(nu, x)
+    y = np.imag(_sp.hankel1(nu, x))
+    missing = np.isnan(y)
+    if not missing.any():
+        return y
+    if np.ndim(y) == 0:
+        return _sp.yv(nu, x)
+    nu, x = np.broadcast_arrays(nu, x)
+    y[missing] = _sp.yv(nu[missing], x[missing])
+    return y
 
 
 def cylinder(nu: float, x: float) -> CylinderValue:
@@ -75,8 +91,7 @@ def cylinder(nu: float, x: float) -> CylinderValue:
     its failure exposes evaluation error.  Raises if the contract tolerance
     cannot be certified.
     """
-    _check_order_argument(nu, x)
-    j, y = _sp.jv(nu, x), _sp.yv(nu, x)
+    j, y = cyl_j(nu, x), cyl_y(nu, x)
     jp, yp = _sp.jvp(nu, x), _sp.yvp(nu, x)
     if not all(map(math.isfinite, (j, y, jp, yp))):
         raise CylinderPrecisionError(f"non-finite cylinder values at nu={nu}, x={x}")

@@ -1,0 +1,53 @@
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pibilliards import CurveSeries
+from pibilliards.cli import main
+from pibilliards.curves import format_sig
+
+# -0.0, subnormals, the ends of the double range, NaN and +-inf: to_csv
+# writes whatever it is given, and the CLI refuses non-finite values before it.
+_AWKWARD = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+            1.7976931348623157e308, math.nan, math.inf, -math.inf, 1 / 3, -2.5,
+            123456789.123456789, 1e-5, 9.9999999999999995e-7, 1e16, 0.5, 1.0]
+
+
+def _format_sig_csv(series: CurveSeries, sig: int) -> str:
+    """The CSV as format_sig of each value: the header, then x, y and the labels."""
+    tail = [str(v) for v in series.labels.values()]
+    rows = [",".join(series.header())]
+    rows += [",".join([format_sig(x, sig), format_sig(y, sig), *tail])
+             for x, y in zip(series.xs, series.ys)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("labels", [{}, {"model": "quantum", "n": 3, "l": 31.4}],
+                         ids=["no-labels", "labels"])
+@pytest.mark.parametrize("sig", [1, 5, 12, 17])
+def test_to_csv_rows_are_format_sig_of_each_value(sig, labels, tmp_path):
+    xs = np.array(_AWKWARD)
+    series = CurveSeries("x", "y", xs, -xs[::-1], labels=labels)
+    path = tmp_path / "c.csv"
+    series.to_csv(path, sig=sig)
+    assert path.read_bytes() == _format_sig_csv(series, sig).encode()
+
+
+@pytest.mark.parametrize("argv", [[], ["--precision", "5", "--samples", "300"]],
+                         ids=["defaults", "precision-5"])
+def test_figures_csvs_are_format_sig_of_each_value(argv, tmp_path, monkeypatch, capsys):
+    written = {}
+    to_csv = CurveSeries.to_csv
+
+    def recording_to_csv(self, path, sig=12):
+        written[Path(path).name] = (self, sig)
+        to_csv(self, path, sig)
+
+    monkeypatch.setattr(CurveSeries, "to_csv", recording_to_csv)
+    assert main(["figures", "--outdir", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    assert len(written) == 6
+    for name, (series, sig) in written.items():
+        assert (tmp_path / name).read_bytes() == _format_sig_csv(series, sig).encode()

@@ -90,6 +90,34 @@ def test_wronskian_identity_grid():
     assert worst < 1e-9
 
 
+# Orders and arguments reach beyond AMOS's range (about 1.07e9), where
+# hankel1 gives NaN and cyl_y falls back to yv.
+_ORDERS = st.one_of(st.integers(0, 49).map(float), st.floats(0.0, 1e5),
+                   st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e))
+_ARGUMENTS = st.one_of(st.floats(1e-3, 3e9), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=_ORDERS, xs=st.lists(_ARGUMENTS, min_size=1, max_size=16))
+@example(nu=1e4, xs=[1.0, 1e4, 1e9])     # Y overflows at the first point
+@example(nu=0.0, xs=[1e-3, 7.2e8, 3e9])  # Y_0 finite at the ends of the range
+@example(nu=100.0, xs=[7.2e8])          # scipy's Y is -0.0 here
+@example(nu=0.5, xs=[1e17, 1e300])      # hankel1 NaN, yv finite
+@example(nu=1.08e9, xs=[1.0, 2e9])      # an order beyond AMOS's range
+@example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0
+def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
+    from scipy.special import yv
+    x = np.array(xs)
+    got, want = cyl_y(nu, x), yv(nu, x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    overflow = np.isinf(want)
+    assert np.all(np.isneginf(got[overflow]) & np.isneginf(want[overflow]))
+    for xi in xs:
+        g, w = cyl_y(nu, xi), yv(nu, xi)
+        assert type(g) is np.float64  # a numpy scalar, not a 0-d array
+        assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+
 def test_hankel_modulus_decreasing():
     for nu in (0.5, 10.0, 100.0):
         xs = np.geomspace(max(nu, 0.5), 30 * max(nu, 1.0), 300)
