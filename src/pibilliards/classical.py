@@ -3,11 +3,10 @@
 A heavy ball slides toward a light ball resting near a hard wall; all
 collisions are elastic.  The total number of collisions is finite and, for a
 mass ratio M/m = 100**N, equals the integer part of pi * 10**N.  This module
-provides the event-driven simulation (used as the counting oracle), the
-certified closed-form count floor(pi/beta) with its integer-tie window, the
-certified count at an exact mass ratio, a certified extraction of
-floor(pi * 10**N) based on interval arithmetic plus an independent
-high-precision series, and the trajectory curves.
+provides the event-driven simulation, the trajectory curves, and the
+certified counts from one precision-doubling loop: floor(pi/beta) with its
+integer-tie window, the count at an exact mass ratio, and floor(pi * 10**N),
+whose collision-count route is that count at M/m = 100**N.
 
 The curves use the unfolding of the wedge (Galperin, "Playing pool with pi",
 Regular and Chaotic Dynamics 8(4), 2003): in the mass-scaled plane
@@ -31,13 +30,15 @@ from .bigreal import BigReal
 from .core import BilliardParams, DomainError, _check_beta, _check_positive
 from .curves import CurveSeries, _alpha_grid, _eta_grid, _format_int
 
-# Precision doublings allowed past the starting 64 + 10 N bits of pi_digits_detail.
+# Precision doublings allowed past the starting precision of each certified floor.
 _MAX_DOUBLINGS = 3
 
 # Absolute window inside which pi/beta is treated as an exact integer tie.
 _TIE_ABS_TOL = 1e-9
 
-# The mass ratios whose pi/beta is an exact integer, and their counts.
+# By Niven's theorem pi/beta is an integer only at M/m = 1/3, 1 and 3 (beta =
+# pi/3, pi/4, pi/6); the last boundary ray is grazed there, so the counts are
+# 2, 3 and 5.  1/3 is no double, but the exact ratio of two masses can be.
 _RATIO_TIES = {Fraction(1, 3): 2, 1: 3, 3: 5}
 
 
@@ -163,10 +164,44 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     return CollisionTrace(params, initial, tuple(events), len(events), drift)
 
 
+def _certify(start: int, intervals, failure: str) -> tuple[list[int], int]:
+    """The certified floors of ``intervals(pi)``, with pi the BigReal at
+    ``start`` bits doubled at most ``_MAX_DOUBLINGS`` times, and the bits that
+    certified them all; else IndeterminateFloorError says ``failure``."""
+    for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
+        floors = [interval.floor_certified() for interval in intervals(BigReal.pi(bits))]
+        if None not in floors:
+            return floors, bits
+    raise IndeterminateFloorError(f"{failure} within {bits} bits")
+
+
 def _enclose(x: Fraction, bits: int) -> BigReal:
     """The narrowest interval at ``bits`` bits that contains the rational x >= 0."""
     scaled = x.numerator << bits
     return BigReal(scaled // x.denominator, -(-scaled // x.denominator), bits)
+
+
+def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
+    """pi/beta at the exact mass ratio M/m = p/q, beta = arctan(sqrt(q/p)).
+
+    At the ties of ``_RATIO_TIES`` it is their count, a degenerate interval.
+    When p and q are perfect squares, beta is one arctan interval, so
+    M/m = 100**N costs one arctan(10**-N).  Otherwise sqrt(q/p) is bracketed
+    by ``math.isqrt`` at pi's b bits as [r, r + 1] / 2^b, and beta by the
+    arctan interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b].
+    """
+    bits = pi.bits
+    if ratio in _RATIO_TIES:
+        count = _RATIO_TIES[ratio] << bits
+        return BigReal(count, count, bits)
+    p, q = ratio.numerator, ratio.denominator
+    root_p, root_q = math.isqrt(p), math.isqrt(q)
+    if root_p * root_p == p and root_q * root_q == q:
+        return pi.divide(BigReal.atan_fraction(root_q, root_p, bits))
+    root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
+    low = BigReal.atan_fraction(root, 1 << bits, bits)
+    # arctan is increasing and 1-Lipschitz, so beta <= low.hi + 2^-bits
+    return pi.divide(BigReal(low.lo, low.hi + 1, bits))
 
 
 def count_closed_form(beta: float) -> int:
@@ -177,58 +212,37 @@ def count_closed_form(beta: float) -> int:
     the unfolded wedge is grazed, not crossed, so the count is k - 1.  beta
     and the window 1e-9 are taken as the exact rationals the doubles hold, and
     the floor of the interval pi/beta - 1e-9 is certified from 64 bits plus
-    the bit length of beta's denominator, doubled at most ``_MAX_DOUBLINGS``
-    times; at that start the interval is narrower than about 2^-60.  Raises
-    OverflowError where pi/beta overflows a double.
+    the bit length of beta's denominator; at that start the interval is
+    narrower than about 2^-60.  Raises OverflowError where pi/beta overflows
+    a double.
     """
     _check_beta(beta)
     if math.pi / beta == math.inf:
         raise OverflowError(f"pi/beta overflows a double at beta = {beta!r}")
     exact, window = Fraction(beta), Fraction(_TIE_ABS_TOL)
-    start = 64 + exact.denominator.bit_length()
-    for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
-        ratio = BigReal.pi(bits).divide(_enclose(exact, bits))
-        count = (ratio - _enclose(window, bits)).floor_certified()
-        if count is not None:
-            return count
-    raise IndeterminateFloorError(
-        f"collision count not certified for beta = {beta!r} within {bits} bits")
+    (count,), _ = _certify(
+        64 + exact.denominator.bit_length(),
+        lambda pi: (pi.divide(_enclose(exact, pi.bits)) - _enclose(window, pi.bits),),
+        f"collision count not certified for beta = {beta!r}")
+    return count
 
 
 def count_certified(ratio: float | Fraction) -> int:
     """Collision count floor(pi/beta) at the mass ratio M/m = ``ratio``, certified.
 
-    ``ratio``, a double or a Fraction, is taken as the exact rational p/q it
-    holds, so beta = arctan(sqrt(q/p)) exactly.  sqrt(q/p) is bracketed by
-    ``math.isqrt`` at b bits as [r, r + 1] / 2^b, and beta by one arctan
-    interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b]: arctan is
-    increasing and 1-Lipschitz, so arctan((r + 1) / 2^b) <= arctan(r / 2^b)
-    + 2^-b.  The floor of the interval pi/beta is the count once it is
-    certified.  b starts at 64 bits plus about |log2(ratio)|, and is doubled
-    at most ``_MAX_DOUBLINGS`` times: above 1, pi/beta grows like
+    ``ratio``, a double or a Fraction, is taken as the exact rational it
+    holds, and :func:`_pi_over_beta` encloses pi/beta.  The floor is certified
+    from b = 64 bits plus about |log2(ratio)|: above 1, pi/beta grows like
     pi sqrt(ratio) while beta's relative error grows like sqrt(ratio) 2^-b;
-    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).  By Niven's
-    theorem pi/beta is an integer only at M/m = 1/3, 1 and 3 (beta = pi/3,
-    pi/4, pi/6); the last boundary ray is grazed there, so they give 2, 3
-    and 5.  1/3 is no double, but the exact ratio of two masses that the
-    curves pass can be.
+    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).
     """
     _check_positive("mass ratio", ratio)
     exact = Fraction(ratio)
-    p, q = exact.numerator, exact.denominator
-    if exact in _RATIO_TIES:
-        return _RATIO_TIES[exact]
-    start = 64 + abs(p.bit_length() - q.bit_length())
-    for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
-        root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
-        low = BigReal.atan_fraction(root, 1 << bits, bits)
-        # arctan is increasing and 1-Lipschitz, so beta <= low.hi + 2^-bits
-        beta = BigReal(low.lo, low.hi + 1, bits)
-        count = BigReal.pi(bits).divide(beta).floor_certified()
-        if count is not None:
-            return count
-    raise IndeterminateFloorError(
-        f"collision count not certified for M/m = {ratio!r} within {bits} bits")
+    (count,), _ = _certify(
+        64 + abs(exact.numerator.bit_length() - exact.denominator.bit_length()),
+        lambda pi: (_pi_over_beta(pi, exact),),
+        f"collision count not certified for M/m = {ratio!r}")
+    return count
 
 
 # -- certified digits ---------------------------------------------------------
@@ -239,7 +253,7 @@ class PiDigitsResult:
     value: int            # floor(pi * 10**N) from mpmath, which both floors match
     digits: int           # N
     bits: int             # interval precision that certified the result
-    collision_count: int  # route (a): count at beta = arccot(10**N)
+    collision_count: int  # route (a): count_certified's floor at M/m = 100**N
     pi_floor: int         # BigReal interval floor(pi * 10**N)
 
 
@@ -262,44 +276,30 @@ def _pi_floor_independent(digits: int) -> int:
 def pi_digits_detail(digits: int) -> PiDigitsResult:
     """Certified floor(pi * 10**N) computed two independent ways.
 
-    Route (a): the closed-form collision count at beta = arccot(10**N),
-    evaluated in interval arithmetic from 64 + 10 N bits, doubled at most
-    ``_MAX_DOUBLINGS`` times until the floor is certain; there is no fixed
-    ceiling on N.  N = 0 is the exact integer tie arccot(1) = pi/4, handled
-    symbolically (count 4 - 1 = 3); for N >= 1 the ratio pi/arctan(10**-N) is
-    irrational, so a certified floor is the exact count.
-
-    Route (b): floor(pi * 10**N) from mpmath, which must also equal the
-    BigReal interval floor of pi * 10**N at the certifying precision.  The
-    value is returned only when all three agree.
+    Route (a): the collision count at the exact mass ratio M/m = 100**N, as
+    :func:`count_certified` encloses it (N = 0 is the tie M/m = 1).  Route (b):
+    floor(pi * 10**N) from mpmath, which must also equal the BigReal interval
+    floor of pi * 10**N.  Both intervals share one pi per precision, from
+    64 + 10 N bits doubled until both floors are certain; there is no fixed
+    ceiling on N.  The value is returned only when all three agree.
     """
     if not 0 <= digits < math.inf or digits != int(digits):
         raise DomainError("N must be a non-negative integer")
     digits = int(digits)
     oracle = _pi_floor_independent(digits)
-
-    for bits in ((64 + 10 * digits) << i for i in range(_MAX_DOUBLINGS + 1)):
-        pi_iv = BigReal.pi(bits)
-        scaled_floor = pi_iv.scale_int(10 ** digits).floor_certified()
-        if digits == 0:
-            count = 3
-        else:
-            beta_iv = BigReal.atan_fraction(1, 10 ** digits, bits)
-            count = pi_iv.divide(beta_iv).floor_certified()
-        if scaled_floor is None or count is None:
-            continue
-        if scaled_floor != oracle:
-            raise PiDigitsMismatchError(
-                f"certified interval floor {_format_int(scaled_floor)} disagrees "
-                f"with the mpmath floor {_format_int(oracle)}")
-        if count != oracle:
-            raise PiDigitsMismatchError(
-                f"collision-count route gives {_format_int(count)}, "
-                f"independent floor(pi*10^N) gives {_format_int(oracle)}")
-        return PiDigitsResult(oracle, digits, bits, count, scaled_floor)
-
-    raise IndeterminateFloorError(
-        f"floor not certified for N={digits} within {bits} bits")
+    ratio = Fraction(100 ** digits)
+    (scaled_floor, count), bits = _certify(
+        64 + 10 * digits, lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
+        f"floor not certified for N={digits}")
+    if scaled_floor != oracle:
+        raise PiDigitsMismatchError(
+            f"certified interval floor {_format_int(scaled_floor)} disagrees "
+            f"with the mpmath floor {_format_int(oracle)}")
+    if count != oracle:
+        raise PiDigitsMismatchError(
+            f"collision-count route gives {_format_int(count)}, "
+            f"independent floor(pi*10^N) gives {_format_int(oracle)}")
+    return PiDigitsResult(oracle, digits, bits, count, scaled_floor)
 
 
 def pi_digits(digits: int) -> int:

@@ -36,6 +36,8 @@ AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
 
 _THETA_NODES = 320  # least Gauss-Legendre nodes of the mean-angle quadrature
 
+_SMALLEST_NORMAL = 2.2250738585072014e-308  # below it cyl_y takes the order as 0
+
 
 class CylinderPrecisionError(ArithmeticError):
     """Certified cylinder-function accuracy could not be reached."""
@@ -69,13 +71,16 @@ def cyl_y(nu, x):
     ``scipy.special.yv`` bit for bit wherever ``hankel1`` gives a value (a
     property test pins this).  Where it gives NaN (Y overflows, the argument
     or order is beyond AMOS's range, or the order is subnormal) the points
-    are evaluated by ``yv``, so the result is ``yv``'s everywhere.
+    are evaluated by ``yv``, so the result is ``yv``'s everywhere except at
+    subnormal orders: there ``yv`` gives 0 or garbage, while Y_nu equals Y_0
+    to the last bit, so those orders are taken as 0.
     """
     _check_order_argument(nu, x)
     y = np.imag(_sp.hankel1(nu, x))
     missing = np.isnan(y)
     if not missing.any():
         return y
+    nu = np.where(np.asarray(nu) < _SMALLEST_NORMAL, 0.0, nu)
     if np.ndim(y) == 0:
         return _sp.yv(nu, x)
     nu, x = np.broadcast_arrays(nu, x)

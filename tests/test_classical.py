@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -168,9 +169,31 @@ def test_certified_count_domain_and_ceiling(monkeypatch):
 
 
 def test_certified_count_matches_digits_at_decades():
-    # 100**n is an exact double up to n = 11
+    # 100**n is an exact double up to n = 11; as an integer it goes on
     for n in range(12):
         assert count_certified(float(100 ** n)) == pi_digits(n)
+    for n in range(301):
+        detail = pi_digits_detail(n)
+        assert count_certified(100 ** n) == detail.collision_count == detail.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+@example(10 ** 12, 1)
+@example(1, 10 ** 12)
+@example(2, 1)
+@example(10 ** 12 - 1, 10 ** 12)
+def test_certified_count_at_square_ratios_matches_mpmath(a, b):
+    # M/m = (a/b)^2 has the exact beta = arctan(b/a), enclosed by one arctan
+    count = count_certified(Fraction(a * a, b * b))
+    if a == b:
+        assert count == 3  # the tie M/m = 1: its last ray is grazed
+        return
+    floors = set()
+    for dps in (40, 80):
+        with mpmath.workdps(dps):
+            floors.add(int(mpmath.floor(mpmath.pi / mpmath.atan(mpmath.mpf(b) / a))))
+    assert floors == {count}
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,6 +31,26 @@ def test_digits_prints_value_and_certificate(capsys):
     assert "series route" not in err
 
 
+@pytest.mark.parametrize("n, bits", [(0, 64), (1, 74), (8, 144), (100, 1064)])
+def test_digits_certificate_bytes(n, bits, tmp_path, capsys):
+    # the note, the provenance line and the manifest all carry the certifying
+    # precision, 64 + 10 N bits
+    with mpmath.workdps(n + 30):
+        value = str(int(mpmath.floor(mpmath.pi * 10 ** n)))
+    code, out, err = run_cli(["digits", "--N", str(n), "--manifest", str(tmp_path / "m.json")],
+                             capsys)
+    version = pibilliards.__version__
+    assert code == 0 and out == value + "\n"
+    assert err == (
+        f"certified: {bits} bits; collision-count route = {value}, interval floor = {value}, "
+        f"mpmath floor = {value}\n"
+        f'{{"command": "digits", "parameters": {{"N": {n}, "bits": {bits}}}, '
+        f'"version": "{version}"}}\n')
+    assert (tmp_path / "m.json").read_text() == (
+        f'{{\n  "command": "digits",\n  "parameters": {{\n    "N": {n},\n'
+        f'    "bits": {bits}\n  }},\n  "version": "{version}"\n}}\n')
+
+
 def test_digits_beyond_int_str_limit(capsys):
     # more digits than str(int) allows; the interpreter-wide limit stays put
     limit = sys.get_int_max_str_digits()

@@ -91,7 +91,8 @@ def test_wronskian_identity_grid():
 
 
 # Orders and arguments reach beyond AMOS's range (about 1.07e9), where
-# hankel1 gives NaN and cyl_y falls back to yv.
+# hankel1 gives NaN and cyl_y falls back to yv, with subnormal orders as 0.
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 _ORDERS = st.one_of(st.integers(0, 49).map(float), st.floats(0.0, 1e5),
                    st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e))
 _ARGUMENTS = st.one_of(st.floats(1e-3, 3e9), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
@@ -104,18 +105,32 @@ _ARGUMENTS = st.one_of(st.floats(1e-3, 3e9), st.floats(-3.0, 300.0).map(lambda e
 @example(nu=100.0, xs=[7.2e8])          # scipy's Y is -0.0 here
 @example(nu=0.5, xs=[1e17, 1e300])      # hankel1 NaN, yv finite
 @example(nu=1.08e9, xs=[1.0, 2e9])      # an order beyond AMOS's range
-@example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0
+@example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0 where Y_0 is not
 def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
     from scipy.special import yv
+    order = 0.0 if nu < _SMALLEST_NORMAL else nu  # Y_nu is Y_0 to the last bit
     x = np.array(xs)
-    got, want = cyl_y(nu, x), yv(nu, x)
+    got, want = cyl_y(nu, x), yv(order, x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     overflow = np.isinf(want)
     assert np.all(np.isneginf(got[overflow]) & np.isneginf(want[overflow]))
     for xi in xs:
-        g, w = cyl_y(nu, xi), yv(nu, xi)
+        g, w = cyl_y(nu, xi), yv(order, xi)
         assert type(g) is np.float64  # a numpy scalar, not a 0-d array
         assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+
+def test_cyl_y_at_subnormal_orders_is_y0():
+    # scipy's yv gives 0 at (5e-324, 1) and -8.8e292 at (1e-310, 2)
+    from scipy.special import yv
+    xs = np.array([1.0, 2.0, 3.0])
+    for nu in (5e-324, 1e-310):
+        assert np.array_equal(cyl_y(nu, xs), yv(0, xs))
+        assert all(cyl_y(nu, float(x)) == yv(0, x) for x in xs)
+    assert np.array_equal(cyl_y(np.array([5e-324, 1e-310, 2.0]), 2.0),
+                          [yv(0, 2.0), yv(0, 2.0), yv(2.0, 2.0)])
+    value = cylinder(5e-324, 1.0)
+    assert value.y == yv(0, 1.0) and value.err_bound <= 1e-12
 
 
 def test_hankel_modulus_decreasing():
