@@ -19,13 +19,16 @@ def _midpoints(samples: int, width: float) -> np.ndarray:
     return (np.arange(samples) + 0.5) * (width / samples)
 
 
-def _gauss_legendre(nodes: int, width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of a Gauss-Legendre rule on [0, width] for integrands
-    made of sines with up to n + 1 half-waves across it: ``nodes`` points, or
-    2(n + 1) + 32 where that is more.  The smallest rule that resolves them
-    (the mean angle to 1e-12, the Berry connection to 1e-10) grows as about
-    1.6-1.9 n for n = 100 to 1000."""
-    t, w = np.polynomial.legendre.leggauss(max(nodes, 2 * (n + 1) + 32))
+_LEAST_NODES = 320  # fewest Gauss-Legendre nodes of either quadrature
+
+
+def _gauss_legendre(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the Gauss-Legendre rule on [0, width] of both
+    quadratures (mean angle and Berry connection), for sines with up to n + 1
+    half-waves across it: 320 points, or 2(n + 1) + 32 from n = 144 on.  The
+    smallest rule that resolves them (the mean angle to 1e-12, the Berry
+    connection to 1e-10) grows as about 1.6-1.9 n for n = 100 to 1000."""
+    t, w = np.polynomial.legendre.leggauss(max(_LEAST_NODES, 2 * (n + 1) + 32))
     return width * (t + 1.0) / 2.0, w * width / 2.0
 
 

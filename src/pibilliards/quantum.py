@@ -34,9 +34,7 @@ CYLINDER_TOLERANCE = 1e-10
 # n = 1 and is rejected.
 AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
 
-_THETA_NODES = 320  # least Gauss-Legendre nodes of the mean-angle quadrature
-
-_SMALLEST_NORMAL = 2.2250738585072014e-308  # below it cyl_y takes the order as 0
+_SMALLEST_NORMAL = 2.2250738585072014e-308  # below it hankel1 takes Y's order as 0
 
 
 class CylinderPrecisionError(ArithmeticError):
@@ -52,51 +50,28 @@ class CylinderValue:
     err_bound: float
 
 
-def _check_order_argument(nu, x) -> None:
-    _check_positive("order", nu, zero_ok=True)
-    _check_positive("argument", x)
-
-
 def cyl_j(nu, x):
-    """Bessel function of the first kind, real order nu >= 0, x > 0."""
-    _check_order_argument(nu, x)
-    return _sp.jv(nu, x)
+    """Bessel function of the first kind, real order nu >= 0, x > 0: the real
+    part of :func:`hankel1`, which is ``scipy.special.jv`` bit for bit."""
+    return np.real(hankel1(nu, x))
 
 
 def cyl_y(nu, x):
-    """Bessel function of the second kind, real order nu >= 0, x > 0.
-
-    Taken as Im H1: AMOS builds Y from the Hankel pair, so ``yv`` computes
-    both H1 and H2 where ``hankel1`` computes one, and Im H1 equals
-    ``scipy.special.yv`` bit for bit wherever ``hankel1`` gives a value (a
-    property test pins this).  Where it gives NaN (Y overflows, the argument
-    or order is beyond AMOS's range, or the order is subnormal) the points
-    are evaluated by ``yv``, so the result is ``yv``'s everywhere except at
-    subnormal orders: there ``yv`` gives 0 or garbage, while Y_nu equals Y_0
-    to the last bit, so those orders are taken as 0.
-    """
-    _check_order_argument(nu, x)
-    y = np.imag(_sp.hankel1(nu, x))
-    missing = np.isnan(y)
-    if not missing.any():
-        return y
-    nu = np.where(np.asarray(nu) < _SMALLEST_NORMAL, 0.0, nu)
-    if np.ndim(y) == 0:
-        return _sp.yv(nu, x)
-    nu, x = np.broadcast_arrays(nu, x)
-    y[missing] = _sp.yv(nu[missing], x[missing])
-    return y
+    """Bessel function of the second kind, real order nu >= 0, x > 0: the
+    imaginary part of :func:`hankel1`, which says how Y is evaluated."""
+    return np.imag(hankel1(nu, x))
 
 
 def cylinder(nu: float, x: float) -> CylinderValue:
-    """J and Y with an accuracy certificate.
+    """J and Y, from one :func:`hankel1` call, with an accuracy certificate.
 
     The certificate is the scaled residual of the Wronskian identity
     J Y' - J' Y = 2/(pi x), an identity the evaluation does not enforce, so
     its failure exposes evaluation error.  Raises if the contract tolerance
     cannot be certified.
     """
-    j, y = cyl_j(nu, x), cyl_y(nu, x)
+    h = hankel1(nu, x)
+    j, y = np.real(h), np.imag(h)
     jp, yp = _sp.jvp(nu, x), _sp.yvp(nu, x)
     if not all(map(math.isfinite, (j, y, jp, yp))):
         raise CylinderPrecisionError(f"non-finite cylinder values at nu={nu}, x={x}")
@@ -110,9 +85,28 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 
 
 def hankel1(nu, x):
-    """H(1) = J + iY (incident radial wave); its conjugate is the outgoing wave."""
-    h = np.array(cyl_j(nu, x), dtype=complex)
-    h.imag = cyl_y(nu, x)  # not J + 1j * Y: 0 * inf would make the real part NaN
+    """H(1) = J + iY (incident radial wave) for real order nu >= 0 and x > 0;
+    its conjugate is the outgoing wave.  Every Bessel value is taken here.
+
+    J is ``scipy.special.jv``.  Y is taken as Im H1: AMOS builds Y from the
+    Hankel pair, so ``yv`` computes both H1 and H2 where ``hankel1`` computes
+    one, and Im H1 equals ``scipy.special.yv`` bit for bit wherever
+    ``hankel1`` gives a value (a property test pins this).  Where it gives NaN
+    (Y overflows, or the argument or order is beyond AMOS's range) the points
+    are evaluated by ``yv``, so Y is ``yv``'s everywhere except at subnormal
+    orders: there they give NaN, 0, garbage or a value off in the last bits,
+    while Y_nu equals Y_0 to the last bit, so those orders are taken as 0.
+    """
+    _check_positive("order", nu, zero_ok=True)
+    _check_positive("argument", x)
+    h = np.array(_sp.jv(nu, x), dtype=complex)
+    nu = np.where(np.asarray(nu) < _SMALLEST_NORMAL, 0.0, nu)
+    # set h.imag, not J + 1j * Y: 0 * inf would make the real part NaN
+    h.imag = np.imag(_sp.hankel1(nu, x))
+    missing = np.isnan(h.imag)
+    if missing.any():
+        nu, x = np.broadcast_arrays(nu, x)
+        h.imag[missing] = _sp.yv(nu[missing], x[missing])
     return h[()]
 
 
@@ -141,6 +135,17 @@ def amplitude_coefficient(n: int) -> float:
     return 8.0 * n * (n + 1) / (2 * n + 1) ** 2
 
 
+def _channel_pair(rho, n: int, beta: float):
+    """Check n and beta and return the channel orders l = n pi / beta and
+    l' = (n + 1) pi / beta with the incident waves H1_l and H1_l' at rho.
+    The waves come back raw: each caller applies the relative phase in its
+    own order, which fixes the last bits of its result."""
+    _check_quantum_number(n)
+    _check_beta(beta)
+    l, lp = n * math.pi / beta, (n + 1) * math.pi / beta
+    return l, lp, hankel1(l, rho), hankel1(lp, rho)
+
+
 def theta_mean(rho, n: int, beta: float):
     """Mean sector angle of the two-channel incident wave at radius rho.
 
@@ -160,11 +165,7 @@ def theta_mean(rho, n: int, beta: float):
     n <= 10 and M/m <= 1e8).  It is NaN where both waves overflow (rho well
     below l), and beyond about 7e8, where scipy returns J = Y = 0.
     """
-    _check_quantum_number(n)
-    _check_beta(beta)
-    x = np.asarray(rho, dtype=float)
-    h_l = hankel1(n * math.pi / beta, x)
-    h_lp = hankel1((n + 1) * math.pi / beta, x)
+    _, _, h_l, h_lp = _channel_pair(np.asarray(rho, dtype=float), n, beta)
     # |cross/dens| <= 2 |h_l|/|h_lp|: no ulp of beta/2 once channel n+1 swamps n
     h_lp = np.where((np.abs(h_lp) >= 1e154) & (np.abs(h_l) < 1e134), 0.0, h_lp)
     c = math.pi / (2.0 * beta)
@@ -178,25 +179,21 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
                           wave: str = "incident") -> float:
     """Mean sector angle by direct quadrature of the wavefunction density.
 
-    Integrates theta |Psi|^2 over the sector (a Gauss-Legendre rule of 320
-    nodes, or of 2(n + 1) + 32 from n = 144 on, which resolves the sines of
-    both channels) for the two-channel incident (H1) or outgoing (conj(H1),
-    which is H2 for real order and argument) wave at the dimensionless radius
-    ``rho`` = k rho, as in :func:`theta_mean`.  This path makes no use of the
+    Integrates theta |Psi|^2 over the sector (the Gauss-Legendre rule shared
+    with the Berry connection, which resolves the sines of both channels) for
+    the two-channel incident (H1) or outgoing (conj(H1), which is H2 for real
+    order and argument) wave at the dimensionless radius ``rho`` = k rho, on
+    the channel pair of :func:`theta_mean`.  This path makes no use of the
     closed form above and is the only exposed route to the outgoing-wave mean
     angle.
     """
-    _check_quantum_number(n)
-    _check_beta(beta)
     if wave not in ("incident", "outgoing"):
         raise DomainError("wave must be 'incident' or 'outgoing'")
-    l = n * math.pi / beta
-    lp = (n + 1) * math.pi / beta
-    h_l, h_lp = hankel1(l, rho), hankel1(lp, rho)
+    l, lp, h_l, h_lp = _channel_pair(rho, n, beta)
     if wave == "outgoing":
         h_l, h_lp = np.conj(h_l), np.conj(h_lp)
     c = math.pi / (2.0 * beta)
-    theta, wt = _gauss_legendre(_THETA_NODES, beta, n)
+    theta, wt = _gauss_legendre(beta, n)
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)
     density = np.abs(psi) ** 2
     return float(np.sum(wt * theta * density) / np.sum(wt * density))

@@ -26,9 +26,6 @@ from .core import (BilliardParams, _check_positive, _check_quantum_number,
                    _check_real, _check_v_sign, _turning_ratio)
 from .curves import CurveSeries, _alpha_grid, _gauss_legendre
 
-_BERRY_NODES = 400  # least Gauss-Legendre nodes of the Berry-connection quadrature
-
-
 @dataclass(frozen=True)
 class SemiclassicalConfig:
     """Lower quantum number, masses and the heavy ball's retracing point."""
@@ -82,14 +79,14 @@ def two_level_energy(x: float, cfg: SemiclassicalConfig) -> float:
 
 def berry_connection(n: int, x: float) -> float:
     """<psi_n | d/dx psi_n> by Gauss-Legendre quadrature over the well, with
-    400 nodes, or 2(n + 1) + 32 from n = 184 on.
+    320 nodes, or 2(n + 1) + 32 from n = 144 on.
 
     The well eigenfunctions are real, so this geometric connection, and with
     it the geometric phase, vanishes; the quadrature is the cross-check.
     """
     _check_quantum_number(n)
     _check_positive("well width", x)
-    y, wt = _gauss_legendre(_BERRY_NODES, x, n)
+    y, wt = _gauss_legendre(x, n)
     a = n * math.pi / x
     psi = math.sqrt(2.0 / x) * np.sin(a * y)
     dpsi_dx = -0.5 * math.sqrt(2.0 / x ** 3) * np.sin(a * y) \

@@ -67,6 +67,21 @@ def test_cyl_domain_errors():
             cyl_j(1.0, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             theta_mean(bad, 1, BETA10)
+    # the order and argument check lives in hankel1 alone; every entry
+    # point must still reach it
+    for entry in (hankel1, cylinder):
+        with pytest.raises(DomainError):
+            entry(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            entry(np.array([1.0, -1.0]), 1.0)
+    quadratures = [lambda rho: theta_mean_quadrature(rho, 1, BETA10),
+                   lambda rho: theta_mean_quadrature(rho, 1, BETA10, wave="outgoing")]
+    for entry in [lambda x: hankel1(1.0, x), lambda x: cylinder(1.0, x), *quadratures]:
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                entry(bad)
+            with pytest.raises(DomainError):
+                entry(np.array([40.0, bad]))
 
 
 def test_cylinder_certificate():
@@ -106,14 +121,26 @@ _ARGUMENTS = st.one_of(st.floats(1e-3, 3e9), st.floats(-3.0, 300.0).map(lambda e
 @example(nu=0.5, xs=[1e17, 1e300])      # hankel1 NaN, yv finite
 @example(nu=1.08e9, xs=[1.0, 2e9])      # an order beyond AMOS's range
 @example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0 where Y_0 is not
+@example(nu=2.0 ** -1023, xs=[1.0])     # hankel1 and yv 4 ulp off Y_0
 def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
-    from scipy.special import yv
+    # J, Y and H1 are views of one hankel1 evaluation, so cyl_j passes
+    # through the yv fallback too and must still be jv bit for bit
+    from scipy.special import jv, yv
     order = 0.0 if nu < _SMALLEST_NORMAL else nu  # Y_nu is Y_0 to the last bit
     x = np.array(xs)
     got, want = cyl_y(nu, x), yv(order, x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     overflow = np.isinf(want)
     assert np.all(np.isneginf(got[overflow]) & np.isneginf(want[overflow]))
+    got_j, want_j = cyl_j(nu, x), jv(nu, x)
+    assert got_j.dtype == want_j.dtype and got_j.tobytes() == want_j.tobytes()
+    h = hankel1(nu, x)
+    assert np.real(h).tobytes() == got_j.tobytes()
+    assert np.imag(h).tobytes() == got.tobytes()
+    # at one point only: past AMOS's range each yv fallback can take seconds
+    gj, hi = cyl_j(nu, xs[0]), hankel1(nu, xs[0])
+    assert type(gj) is np.float64 and type(hi) is np.complex128
+    assert gj.tobytes() == got_j[0].tobytes() and hi.tobytes() == h[0].tobytes()
     for xi in xs:
         g, w = cyl_y(nu, xi), yv(order, xi)
         assert type(g) is np.float64  # a numpy scalar, not a 0-d array
@@ -121,10 +148,11 @@ def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
 
 
 def test_cyl_y_at_subnormal_orders_is_y0():
-    # scipy's yv gives 0 at (5e-324, 1) and -8.8e292 at (1e-310, 2)
+    # scipy's yv gives 0 at (5e-324, 1) and -8.8e292 at (1e-310, 2); at
+    # (2**-1023, 1) its yv and hankel1 give a value 4 ulp off Y_0
     from scipy.special import yv
     xs = np.array([1.0, 2.0, 3.0])
-    for nu in (5e-324, 1e-310):
+    for nu in (5e-324, 1e-310, 2.0 ** -1023):
         assert np.array_equal(cyl_y(nu, xs), yv(0, xs))
         assert all(cyl_y(nu, float(x)) == yv(0, x) for x in xs)
     assert np.array_equal(cyl_y(np.array([5e-324, 1e-310, 2.0]), 2.0),

@@ -52,9 +52,12 @@ def test_berry_connection_quadrature_tiny():
             assert abs(berry_connection(n, x)) < 1e-10
 
 
-@pytest.mark.parametrize("n, x", [(260, 1.0), (300, 0.7), (300, 1.0), (300, 1.7), (1000, 1.0)])
+@pytest.mark.parametrize("n, x", [(143, 1.0), (144, 0.7), (183, 1.7), (260, 1.0), (300, 0.7),
+                                  (300, 1.0), (300, 1.7), (1000, 1.0)])
 def test_berry_connection_resolves_large_n(n, x):
-    # beyond n = 183 the rule must grow: 400 nodes give 15.3 at n = 260
+    # beyond n = 143 the rule must grow: 320 nodes give -1.38 at n = 200 and
+    # 22.1 at n = 260.  n = 143 and 144 straddle the step from 320 nodes to
+    # 2(n + 1) + 32, and up to n = 183 that rule has fewer than 400 nodes
     assert abs(berry_connection(n, x)) < 1e-10
 
 
