@@ -86,7 +86,8 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 
 def hankel1(nu, x):
     """H(1) = J + iY (incident radial wave) for real order nu >= 0 and x > 0;
-    its conjugate is the outgoing wave.  Every Bessel value is taken here.
+    its conjugate is the outgoing wave.  Every J and Y is taken here; only
+    the derivatives J' and Y' in :func:`cylinder` come from scipy directly.
 
     J is ``scipy.special.jv``.  Y is taken as Im H1: AMOS builds Y from the
     Hankel pair, so ``yv`` computes both H1 and H2 where ``hankel1`` computes
@@ -136,14 +137,18 @@ def amplitude_coefficient(n: int) -> float:
 
 
 def _channel_pair(rho, n: int, beta: float):
-    """Check n and beta and return the channel orders l = n pi / beta and
-    l' = (n + 1) pi / beta with the incident waves H1_l and H1_l' at rho.
-    The waves come back raw: each caller applies the relative phase in its
-    own order, which fixes the last bits of its result."""
+    """Check n and beta; return l = n pi / beta, l' = (n + 1) pi / beta and
+    H1_l, H1_l' at rho times 2**-k, k the binary exponent of |H1_l'|, the
+    larger wave (DLMF 10.9.30).  Both routes are blind to this exact factor,
+    their one overflow rule; where only H1_l' overflows, the pair is (0, 1)."""
     _check_quantum_number(n)
     _check_beta(beta)
     l, lp = n * math.pi / beta, (n + 1) * math.pi / beta
-    return l, lp, hankel1(l, rho), hankel1(lp, rho)
+    h_l, h_lp = hankel1(l, rho), hankel1(lp, rho)
+    swamped = np.isinf(h_lp) & np.isfinite(h_l)
+    h_l, h_lp = np.where(swamped, 0.0, h_l), np.where(swamped, 1.0, h_lp)
+    scale = np.ldexp(1.0, -np.frexp(np.abs(h_lp))[1])
+    return l, lp, h_l * scale, h_lp * scale
 
 
 def theta_mean(rho, n: int, beta: float):
@@ -159,15 +164,10 @@ def theta_mean(rho, n: int, beta: float):
     with C(n) = 8n(n+1)/(2n+1)^2 and c = pi/(2 beta).  ``rho`` is the
     dimensionless radius k rho, the only way the wavenumber enters.  Below
     the turning radius l' the channel-(n+1) wave grows and the result
-    flattens to beta/2.  Where that wave passes 1e154 while |H1_l| < 1e134,
-    the cross term is below 2e-20 and is taken as 0, so no square overflows
-    (on rho >= l the value is finite up to rho of about 7e8, checked for
-    n <= 10 and M/m <= 1e8).  It is NaN where both waves overflow (rho well
-    below l), and beyond about 7e8, where scipy returns J = Y = 0.
+    flattens to beta/2.  It is NaN only where both waves overflow (rho well
+    below l, see _channel_pair) and past about 7e8, where J = Y = 0 in scipy.
     """
     _, _, h_l, h_lp = _channel_pair(np.asarray(rho, dtype=float), n, beta)
-    # |cross/dens| <= 2 |h_l|/|h_lp|: no ulp of beta/2 once channel n+1 swamps n
-    h_lp = np.where((np.abs(h_lp) >= 1e154) & (np.abs(h_l) < 1e134), 0.0, h_lp)
     c = math.pi / (2.0 * beta)
     cross = 2.0 * np.real(np.exp(1j * c * math.pi) * np.conj(h_l) * h_lp)
     dens = np.abs(h_l) ** 2 + np.abs(h_lp) ** 2
@@ -183,9 +183,9 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
     with the Berry connection, which resolves the sines of both channels) for
     the two-channel incident (H1) or outgoing (conj(H1), which is H2 for real
     order and argument) wave at the dimensionless radius ``rho`` = k rho, on
-    the channel pair of :func:`theta_mean`.  This path makes no use of the
-    closed form above and is the only exposed route to the outgoing-wave mean
-    angle.
+    the scaled channel pair of :func:`theta_mean`, so it is finite on the
+    same radii.  It makes no use of the closed form above and is the only
+    exposed route to the outgoing-wave mean angle.
     """
     if wave not in ("incident", "outgoing"):
         raise DomainError("wave must be 'incident' or 'outgoing'")

@@ -4,9 +4,11 @@ These deliberately avoid the code paths they check: Bessel values come from a
 high-precision power series and from quadrature of the integral
 representation (not from scipy); the accumulated Bohr phase comes from an
 adaptive ODE integration of the Bohr frequency (not from the closed form);
-mean angles come from adaptive quadrature (not from Gauss-Legendre), and the
-outgoing one also from the closed form of the H2 = J - iY pair (not from
-quadrature of the conjugated H1 pair); channel phase shifts come from the
+mean angles come from adaptive quadrature (not from Gauss-Legendre), the
+incident one also from mpmath's Hankel functions at 40 digits (not from scipy,
+and with no overflow to scale away), and the outgoing one also from the
+closed form of the H2 = J - iY pair (not from quadrature of the conjugated H1
+pair); channel phase shifts come from the
 phase of H1 integrated through its Wronskian (not from the closed form
 (l + 1/2) pi); the
 classical curves are replayed from the float event trace of ``simulate`` and
@@ -169,6 +171,20 @@ def theta_mean_outgoing_closed_form(rho: float, n: int, beta: float) -> float:
     dens = abs(h_l) ** 2 + abs(h_lp) ** 2
     coefficient = 8.0 * n * (n + 1) / (2 * n + 1) ** 2
     return beta / 2.0 - (beta / math.pi ** 2) * coefficient * cross / dens
+
+
+def theta_mean_mp(rho: float, n: int, beta: float) -> float:
+    """Incident-wave mean angle in closed form with mpmath's ``hankel1`` at 40
+    digits, at the double orders n pi / beta and (n + 1) pi / beta.  mpmath's
+    exponent range is unbounded, so no wave overflows and no scaling enters."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        h_l = mpmath.hankel1(mpmath.mpf(n * math.pi / beta), mpmath.mpf(rho))
+        h_lp = mpmath.hankel1(mpmath.mpf((n + 1) * math.pi / beta), mpmath.mpf(rho))
+        cross = 2 * mpmath.re(mpmath.expj(mpmath.pi ** 2 / (2 * b)) * mpmath.conj(h_l) * h_lp)
+        dens = abs(h_l) ** 2 + abs(h_lp) ** 2
+        coefficient = mpmath.mpf(8 * n * (n + 1)) / (2 * n + 1) ** 2
+        return float(b / 2 - b / mpmath.pi ** 2 * coefficient * cross / dens)
 
 
 def phase_shift_from_waves(order: float, x_max: float) -> float:

@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_j_integral, bessel_j_series, bessel_y_integral, \
-    phase_shift_from_waves, theta_mean_adaptive, theta_mean_outgoing_closed_form
+    phase_shift_from_waves, theta_mean_adaptive, theta_mean_mp, \
+    theta_mean_outgoing_closed_form
 from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, BilliardParams, DomainError,
                          amplitude_coefficient, count_closed_form,
                          count_extrema, cyl_j, cyl_y, cylinder, eta_of,
@@ -298,17 +299,41 @@ def test_theta_mean_flattens_below_turning_radius():
     assert np.all(np.abs(vals - BETA10 / 2) < 0.02 * BETA10)
 
 
+@st.composite
+def _below_turning_radius(draw):
+    beta = draw(st.floats(math.pi / 50, math.pi / 2))
+    n = draw(st.integers(1, 20))
+    return beta, n, n * math.pi / beta * 10.0 ** draw(st.floats(-3.0, 0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_below_turning_radius())
+@example(case=(1.2, 20, 0.0515))  # |H1_l'|^2 overflows while H1_l is finite
+@example(case=(1.2, 16, 0.01))
+def test_theta_mean_matches_mpmath_below_turning_radius(case):
+    # rho = l u with u log-uniform in [1e-3, 1], wherever the double H1_l is finite
+    beta, n, rho = case
+    assume(np.isfinite(hankel1(n * math.pi / beta, rho)))
+    assert abs(theta_mean(rho, n, beta) - theta_mean_mp(rho, n, beta)) <= 1e-14 * beta
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 10), exponent=st.floats(2.0, 8.0))
 @example(n=1, exponent=5.0)
 def test_theta_mean_finite_where_channel_n_plus_1_overflows(n, exponent):
     # on the curve grid rho = l / cos(eta), yv of order l' overflows from
-    # M/m = 1e5 (n = 1) on, and the cross term is 0 to double precision there.
+    # M/m = 1e5 (n = 1) on, and both routes take the pair as (0, 1) there.
     # Beyond rho of about 7e8, which n >= 9 reaches at M/m = 1e8, scipy
     # returns J = Y = 0 (still open), so the grid stops at 5e8
     beta = BilliardParams.from_mass_ratio(10.0 ** exponent).wedge_angle
     rhos = n * math.pi / beta / np.cos((np.arange(2000) + 0.5) * (math.pi / 4000))
-    assert np.all(np.isfinite(theta_mean(rhos[rhos < 5e8], n, beta)))
+    rhos = rhos[rhos < 5e8]
+    closed = theta_mean(rhos, n, beta)
+    assert np.all(np.isfinite(closed))
+    overflowed = np.flatnonzero(np.isinf(hankel1((n + 1) * math.pi / beta, rhos)))
+    for i in overflowed[[0, overflowed.size // 2, -1]] if overflowed.size else []:
+        assert abs(theta_mean_quadrature(rhos[i], n, beta) - closed[i]) <= 1e-12 * beta
+        assert math.isfinite(theta_mean_quadrature(rhos[i], n, beta, wave="outgoing"))
 
 
 def test_eta_of_values():
