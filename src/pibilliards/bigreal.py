@@ -1,21 +1,23 @@
-"""Arbitrary-precision non-negative intervals with certified outward rounding.
+"""Arbitrary-precision non-negative intervals that provably contain their values.
 
 A :class:`BigReal` is an interval [lo, hi] with 0 <= lo <= hi, whose endpoints
 are dyadic fixed-point numbers lo/2**bits and hi/2**bits stored as Python
 integers; every value the certificates need (pi, arctangents of ratios >= 0,
 their sums, differences, multiples and quotients) is non-negative, and the
-constructor enforces it.  Every operation rounds the lower endpoint down and
-the upper endpoint up, so the true real value of any expression stays inside
-the returned interval.  That containment is what lets a floor be *certified*
-rather than guessed: if both endpoints share the same integer part, the floor
-of the enclosed real number is known exactly.
+constructor enforces it.  The arithmetic rounds the lower endpoint down and
+the upper endpoint up; pi and the arctangents are computed once, at
+_GUARD_BITS extra bits, and widened by a counted error bound.  Either way the
+true real value of any expression stays inside the returned interval.  That
+containment is what lets a floor be *certified* rather than guessed: if both
+endpoints share the same integer part, the floor of the enclosed real number
+is known exactly.
 
 pi comes from the Chudnovsky series summed by binary splitting, in integers
 only (the Machin identity pi = 16 arctan(1/5) - 4 arctan(1/239), which it
 replaced, is the containment oracle in ``tests/oracles.py``).  Arctangents
-come from the alternating Taylor series, whose remainder is bounded by the
-first omitted term, after reducing the argument to at most 1/2.  Division
-forms only the two endpoint quotients that bound the result.
+come from the alternating Taylor series after reducing the argument to at
+most 1/2.  Division forms only the two endpoint quotients that bound the
+result.
 """
 
 from __future__ import annotations
@@ -118,12 +120,17 @@ class BigReal:
     def atan_fraction(cls, num: int, den: int, bits: int) -> "BigReal":
         """arctan(num/den) for num/den >= 0.
 
-        Alternating series x - x^3/3 + x^5/5 - ...; the truncation error is
-        bounded by the first omitted term, and every partial operation rounds
-        outward, so the result interval rigorously contains arctan(num/den).
         Arguments above 1/2 are first reduced to at most 1/2, where the series
         gains at least two bits per term: arctan x = pi/2 - arctan(1/x) for
         x > 2, and arctan x = pi/4 + arctan((x - 1)/(x + 1)) for 1/2 < x <= 2.
+        For x <= 1/2 the alternating series x - x^3/3 + x^5/5 - ... is summed
+        once at ``work`` = bits + _GUARD_BITS bits, from floored powers and
+        floored terms, until the power is at most 2k + 1 units after k terms.
+        Counted bound: since x^2 <= 1/4, each power is less than 4/3 units
+        below its exact value, each term less than 7/3 units below, and the
+        omitted tail, no larger than the first omitted term, is below 3 units;
+        so the sum lies within 3k + 3 units of arctan(x) 2^work, which the
+        interval at ``work`` bits covers before it is rounded out to ``bits``.
         """
         if num < 0 or den <= 0:
             raise ValueError("atan_fraction requires num/den >= 0")
@@ -138,31 +145,16 @@ class BigReal:
             quarter_pi = BigReal(pi.lo, pi.hi, work + 2).round_to(work)
             rest = cls.atan_fraction(abs(num - den), num + den, work)
             return (quarter_pi + rest if num >= den else quarter_pi - rest).round_to(bits)
-        mag_lo = (num << work) // den
-        mag_hi = _ceil_div(num << work, den)
+        mag = (num << work) // den
         num2, den2 = num * num, den * den
-        total_lo = total_hi = 0
-        k = 0
-        while True:
-            d = 2 * k + 1
-            term_lo = mag_lo // d
-            term_hi = _ceil_div(mag_hi, d)
-            if k % 2 == 0:
-                total_lo += term_lo
-                total_hi += term_hi
-            else:
-                total_lo -= term_hi
-                total_hi -= term_lo
-            mag_lo = (mag_lo * num2) // den2
-            mag_hi = _ceil_div(mag_hi * num2, den2)
+        total = k = 0
+        while mag > 2 * k + 1:
+            term = mag // (2 * k + 1)
+            total += -term if k & 1 else term
+            mag = mag * num2 // den2
             k += 1
-            if _ceil_div(mag_hi, 2 * k + 1) <= 1:
-                # remainder no larger than one working-scale ulp either way
-                total_lo -= 2
-                total_hi += 2
-                break
         # arctan x >= 0 for x >= 0, so a lower endpoint below zero is clamped
-        return cls(max(total_lo, 0), total_hi, work).round_to(bits)
+        return cls(max(total - 3 * k - 3, 0), total + 3 * k + 3, work).round_to(bits)
 
     @classmethod
     def pi(cls, bits: int) -> "BigReal":
@@ -176,23 +168,29 @@ class BigReal:
         |t_k| <= (13591409 + 545140134 k) 2^(-47 k).  Successive bounds shrink
         by more than a factor 2, so the omitted tail is below twice the bound
         at k = n; with n = ceil(work/47) + 2 terms that is far below one
-        working ulp.  The tail enters T's units as E >= tail * Q, sqrt(10005)
-        is bracketed by math.isqrt, and both final quotients round outward, so
-        the interval contains pi.
+        working ulp.  The tail enters T's units as E >= tail * Q.
+
+        One long division gives the lower end lo = floor(L), with
+        L = 426880 root q_lo / (t_hi 2^G), G = _GUARD_BITS and work = bits + G:
+        root <= sqrt(10005) 2^work, q_lo <= Q / 2^s and t_hi >= (T + E) / 2^s for
+        the shift s, so L <= pi 2^bits.  Counted bound on the upper end:
+        root > 2^(work+6) is less than 1 low, q_lo is Q / 2^s or exceeds
+        2^(work+G-1) and is less than 1 low, and t_hi > q_lo 2^23 is at most
+        2E / 2^s + 1 high, so when G >= 7 each lies within 2^-(work+6)
+        relative of its exact value.  Then
+        pi 2^bits < L (1 + 2^-(work+4)) < L + 2^-(G+2), as L < 2^(bits+2), and
+        pi 2^bits < lo + 1 + 2^-(G+2) <= lo + 2: the interval is [lo, lo + 2].
         """
         work = bits + _GUARD_BITS
         n = -(-work // 47) + 2
         _, q, t = _chudnovsky_pqt(0, n)
         tail = ((2 * (_CHUD_A + _CHUD_B * n) * q) >> (47 * n)) + 1
-        # S lies in [t_lo / q_hi, t_hi / q_lo]; shortening q and t to about
-        # work bits keeps the two long quotients short
+        # shortening q and t to about work + G bits keeps the long quotient short
         shift = max(q.bit_length() - work - _GUARD_BITS, 0)
-        q_lo = q >> shift
-        t_lo, t_hi = (t - tail) >> shift, -(-(t + tail) >> shift)
+        q_lo, t_hi = q >> shift, -(-(t + tail) >> shift)
         root = math.isqrt(10005 << (2 * work))  # root <= sqrt(10005) 2^work < root + 1
         lo = (426880 * root * q_lo) // (t_hi << _GUARD_BITS)
-        hi = _ceil_div(426880 * (root + 1) * (q_lo + 1), t_lo << _GUARD_BITS)
-        return cls(lo, hi, bits)
+        return cls(lo, lo + 2, bits)
 
     def __repr__(self):
         return f"BigReal([{self.lo}, {self.hi}] / 2**{self.bits})"

@@ -89,12 +89,10 @@ class CollisionTrace:
 
 
 def _int_ratio_float(num: int, den: int) -> float:
-    """num/den as a float without building huge intermediate floats."""
-    shift = max(num.bit_length(), den.bit_length()) - 62
-    if shift > 0:
-        num >>= shift
-        den >>= shift
-    return num / den if den else math.inf
+    """num/den for den > 0 as a float within an ulp: each operand is cut to
+    its own top 64 bits, and the power of two they drop is restored."""
+    a, b = max(num.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
+    return math.ldexp((num >> a) / (den >> b), a - b)
 
 
 def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> CollisionTrace:
@@ -105,25 +103,23 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     in exact integer arithmetic (every float input is an exact rational, and
     the elastic update only ever divides by M + m), so the event sequence and
     the final count carry no rounding ambiguity at any mass ratio; event
-    times and positions are tracked in floats for the trace.  Raises
-    FloatingPointError when the initial kinetic energy underflows to 0, since
-    the relative energy drift is then undefined.
+    times and positions are tracked in floats for the trace.  Each velocity
+    float is within an ulp of its exact rational, converted once per change
+    of that velocity.  Raises FloatingPointError when the initial kinetic
+    energy underflows to 0, since the relative energy drift is then undefined.
     """
     _check_positive("v0, x0 and y0", (v0, x0, y0))
     if not x0 > y0:
         raise DomainError("need x0 > y0")
 
-    # integer masses with a common scale: exact for any float input
-    mf, mf2 = Fraction(params.M), Fraction(params.m)
-    den = mf.denominator * mf2.denominator // math.gcd(mf.denominator, mf2.denominator)
-    big = mf.numerator * (den // mf.denominator)
-    small = mf2.numerator * (den // mf2.denominator)
-    # velocities vx = px/q, vy = py/q with q = v0_den * (big+small)**k
-    v0f = Fraction(v0)
+    # velocities vx = px/q, vy = py/q with q = v0_den * (big+small)**k, where
+    # big/small is M/m in lowest terms: exact for any float input
+    ratio, v0f = Fraction(params.M) / Fraction(params.m), Fraction(v0)
+    big, small = ratio.numerator, ratio.denominator
     px, py, q = -v0f.numerator, 0, v0f.denominator
 
-    t, x, y = 0.0, float(x0), float(y0)
-    initial = ClassicalState(t, x, y, -float(v0), 0.0)
+    t, x, y, vx, vy = 0.0, float(x0), float(y0), -float(v0), 0.0
+    initial = ClassicalState(t, x, y, vx, vy)
     e0 = initial.kinetic_energy(params)
     if e0 == 0.0:
         raise FloatingPointError("initial kinetic energy underflows to 0 in double precision")
@@ -134,7 +130,6 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     while True:
         if py > px:
             # balls approaching: elastic ball-ball exchange
-            vx = _int_ratio_float(px, q)
             dt = (x - y) / _int_ratio_float(py - px, q)
             t += dt
             x += vx * dt
@@ -142,19 +137,20 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
             px, py = (big - small) * px + 2 * small * py, \
                      2 * big * px + (small - big) * py
             q *= big + small
+            vx, vy = _int_ratio_float(px, q), _int_ratio_float(py, q)
             kind = CollisionKind.BALL_BALL
         elif py < 0:
             # light ball reaches the wall and reflects
-            dt = y / -_int_ratio_float(py, q)
+            dt = y / -vy
             t += dt
-            x += _int_ratio_float(px, q) * dt
+            x += vx * dt
             y = 0.0
             py = -py
+            vy = _int_ratio_float(py, q)
             kind = CollisionKind.BALL_WALL
         else:
             break
-        state = ClassicalState(t, x, y,
-                               _int_ratio_float(px, q), _int_ratio_float(py, q))
+        state = ClassicalState(t, x, y, vx, vy)
         events.append(CollisionEvent(len(events) + 1, kind, t, state))
         drift = max(drift, abs(state.kinetic_energy(params) - e0) / e0)
         if len(events) > guard:

@@ -124,11 +124,11 @@ def _emit_series(series: CurveSeries, args, **parameters) -> int:
 
 def _cmd_digits(args) -> int:
     result = pi_digits_detail(args.N)
-    note = (f"certified: {result.bits} bits; collision-count route = "
-            f"{_format_int(result.collision_count)}, interval floor = "
-            f"{_format_int(result.pi_floor)}, mpmath floor = {_format_int(result.value)}")
-    return _finish(args, {"N": args.N, "bits": result.bits},
-                   stdout=(_format_int(result.value),), stderr=(note,))
+    # pi_digits_detail returns only when the three floors are equal
+    value = _format_int(result.value)
+    note = (f"certified: {result.bits} bits; collision-count route = {value}, "
+            f"interval floor = {value}, mpmath floor = {value}")
+    return _finish(args, {"N": args.N, "bits": result.bits}, stdout=(value,), stderr=(note,))
 
 
 def _cmd_count(args) -> int:

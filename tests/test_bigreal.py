@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import divide_all_quotients, machin_pi
 
-from pibilliards import BigReal
+from pibilliards import BigReal, bigreal
 
 
 def _fraction(num: int, den: int, bits: int) -> BigReal:
@@ -134,3 +134,33 @@ def test_atan_contains_reference_for_any_nonnegative_argument(num, den, bits):
         ref = mpmath.atan(mpmath.mpf(num) / den) * mpmath.mpf(2) ** bits
         assert 0 <= iv.lo <= ref <= iv.hi
     assert iv.hi - iv.lo <= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1 << 80).flatmap(
+           lambda den: st.tuples(st.integers(0, den // 2), st.just(den))),
+       st.integers(1, 300))
+@example((1, 2), 200)  # x = 1/2: the series has the most terms
+@example((1, 1 << 80), 64)  # x < 2^-work: the series has no term
+def test_atan_series_bound_holds_without_guard_bits(fraction, bits):
+    # with no guard bits the interval is the counted 3k + 3 bound itself
+    num, den = fraction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigreal, "_GUARD_BITS", 0)
+        iv = BigReal.atan_fraction(num, den, bits)
+    with mpmath.workprec(bits + 200):
+        ref = mpmath.atan(mpmath.mpf(num) / den) * mpmath.mpf(2) ** bits
+        assert iv.lo <= ref <= iv.hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20000))
+@example(1)
+@example(20000)
+def test_pi_upper_bound_holds_with_eight_guard_bits(bits):
+    # the upper end lo + 2 is proven for at least 7 guard bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigreal, "_GUARD_BITS", 8)
+        iv = BigReal.pi(bits)
+    with mpmath.workprec(bits + 64):
+        assert iv.lo <= mpmath.pi * mpmath.mpf(2) ** bits <= iv.hi

@@ -83,6 +83,32 @@ def test_count_bounded_by_angle_quotient():
         assert simulate(p, 1.0, 10.0, 1.0).count <= math.ceil(math.pi / p.wedge_angle)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+       st.floats(0.0, 4.0).map(lambda e: 10.0 ** e))
+@example(1e-20, 100.0)  # the velocity floats lost every bit when cut to 62 bits together
+@example(1e-9, 1e4)
+def test_simulate_velocities_within_an_ulp_at_any_speed(v0, ratio):
+    p = BilliardParams.from_mass_ratio(ratio)
+    trace = simulate(p, v0, 10.0, 1.0)
+    M, m = Fraction(p.M), Fraction(p.m)
+    vx, vy = -Fraction(v0), Fraction(0)
+    for ev in trace.events:
+        # replay the exact elastic update on rationals
+        if vy > vx:
+            assert ev.kind == CollisionKind.BALL_BALL
+            vx, vy = (((M - m) * vx + 2 * m * vy) / (M + m),
+                      (2 * M * vx + (m - M) * vy) / (M + m))
+        else:
+            assert ev.kind == CollisionKind.BALL_WALL and vy < 0
+            vy = -vy
+        for got, exact in ((ev.state_after.vx, vx), (ev.state_after.vy, vy)):
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+    assert not vy > vx and vy >= 0  # no further collision
+    assert trace.count == simulate(p, 1.0, 10.0, 1.0).count
+    assert trace.max_energy_drift < 1e-15
+
+
 def test_simulate_preconditions():
     p = BilliardParams()
     with pytest.raises(DomainError):

@@ -139,6 +139,13 @@ def test_simulate_trace_csv(tmp_path, capsys):
     assert manifest["version"]
 
 
+def test_simulate_slow_start(capsys):
+    # the velocity floats keep their bits however far v0 is from 1
+    code, out, _ = run_cli(["simulate", "--N", "1", "--v0", "1e-20"], capsys)
+    assert code == 0
+    assert out == "31\n"
+
+
 def test_simulate_params_file(tmp_path, capsys):
     pfile = tmp_path / "params.json"
     pfile.write_text('{"M": 9.0, "m": 1.0}')
