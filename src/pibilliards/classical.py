@@ -223,20 +223,26 @@ def count_closed_form(beta: float) -> int:
     return count
 
 
+def _ratio_start(ratio: Fraction) -> int:
+    """The starting precision of a certified count at M/m = p/q:
+    64 + |bit_length(p) - bit_length(q)| bits, 64 plus about |log2(M/m)|."""
+    return 64 + abs(ratio.numerator.bit_length() - ratio.denominator.bit_length())
+
+
 def count_certified(ratio: float | Fraction) -> int:
     """Collision count floor(pi/beta) at the mass ratio M/m = ``ratio``, certified.
 
     ``ratio``, a double or a Fraction, is taken as the exact rational it
     holds, and :func:`_pi_over_beta` encloses pi/beta.  The floor is certified
-    from b = 64 bits plus about |log2(ratio)|: above 1, pi/beta grows like
-    pi sqrt(ratio) while beta's relative error grows like sqrt(ratio) 2^-b;
-    below 1, pi/beta exceeds 2 by only about (4/pi) sqrt(ratio).
+    from b = 64 bits plus about |log2(ratio)| (:func:`_ratio_start`, the start
+    ``digits`` shares): above 1, pi/beta grows like pi sqrt(ratio) while
+    beta's relative error grows like sqrt(ratio) 2^-b; below 1, pi/beta
+    exceeds 2 by only about (4/pi) sqrt(ratio).
     """
     _check_positive("mass ratio", ratio)
     exact = Fraction(ratio)
     (count,), _ = _certify(
-        64 + abs(exact.numerator.bit_length() - exact.denominator.bit_length()),
-        lambda pi: (_pi_over_beta(pi, exact),),
+        _ratio_start(exact), lambda pi: (_pi_over_beta(pi, exact),),
         f"collision count not certified for M/m = {ratio!r}")
     return count
 
@@ -275,9 +281,16 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     Route (a): the collision count at the exact mass ratio M/m = 100**N, as
     :func:`count_certified` encloses it (N = 0 is the tie M/m = 1).  Route (b):
     floor(pi * 10**N) from mpmath, which must also equal the BigReal interval
-    floor of pi * 10**N.  Both intervals share one pi per precision, from
-    64 + 10 N bits doubled until both floors are certain; there is no fixed
-    ceiling on N.  The value is returned only when all three agree.
+    floor of pi * 10**N.  Both intervals share one pi per precision, doubled
+    until both floors are certain; there is no fixed ceiling on N.  The value
+    is returned only when all three agree.
+
+    The start is route (a)'s own, :func:`_ratio_start` at 100**N:
+    b = 64 + floor(log2 100**N) bits.  There route (a)'s interval pi/beta is
+    about 2 pi 10**(2N) 2^-b <~ 2^-60 wide, and route (b)'s interval
+    pi * 10**N is narrower still, by a factor of about 10**N.  So a floor
+    fails only when its value lies within about 2^-60 of an integer, and
+    only then does the doubling loop take over.
     """
     if not 0 <= digits < math.inf or digits != int(digits):
         raise DomainError("N must be a non-negative integer")
@@ -285,7 +298,7 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     oracle = _pi_floor_independent(digits)
     ratio = Fraction(100 ** digits)
     (scaled_floor, count), bits = _certify(
-        64 + 10 * digits, lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
+        _ratio_start(ratio), lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
         f"floor not certified for N={digits}")
     if scaled_floor != oracle:
         raise PiDigitsMismatchError(

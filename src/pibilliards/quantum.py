@@ -35,6 +35,7 @@ CYLINDER_TOLERANCE = 1e-10
 AMPLITUDE_COEFFICIENT_RULE = "8*n*(n+1)/(2*n+1)**2"
 
 _SMALLEST_NORMAL = 2.2250738585072014e-308  # below it hankel1 takes Y's order as 0
+_Y_ZERO_ARGUMENT = 7.15e8  # past it hankel1 takes Y = 0 as missing (seen from 715 828 039)
 
 
 class CylinderPrecisionError(ArithmeticError):
@@ -58,7 +59,8 @@ def cyl_j(nu, x):
 
 def cyl_y(nu, x):
     """Bessel function of the second kind, real order nu >= 0, x > 0: the
-    imaginary part of :func:`hankel1`, which says how Y is evaluated."""
+    imaginary part of :func:`hankel1`, which says how Y is evaluated and
+    where it is NaN instead of scipy's spurious 0."""
     return np.imag(hankel1(nu, x))
 
 
@@ -97,6 +99,9 @@ def hankel1(nu, x):
     are evaluated by ``yv``, so Y is ``yv``'s everywhere except at subnormal
     orders: there they give NaN, 0, garbage or a value off in the last bits,
     while Y_nu equals Y_0 to the last bit, so those orders are taken as 0.
+    Past x = 7.15e8 an exact 0 from both is taken as missing (NaN): there
+    scipy gives Y = -0 at orders above about 86, while the zeros of Y are no
+    doubles and its amplitude is about sqrt(2/(pi x)).
     """
     _check_positive("order", nu, zero_ok=True)
     _check_positive("argument", x)
@@ -108,6 +113,7 @@ def hankel1(nu, x):
     if missing.any():
         nu, x = np.broadcast_arrays(nu, x)
         h.imag[missing] = _sp.yv(nu[missing], x[missing])
+    h.imag[(h.imag == 0) & (np.asarray(x) > _Y_ZERO_ARGUMENT)] = np.nan
     return h[()]
 
 
@@ -164,8 +170,9 @@ def theta_mean(rho, n: int, beta: float):
     with C(n) = 8n(n+1)/(2n+1)^2 and c = pi/(2 beta).  ``rho`` is the
     dimensionless radius k rho, the only way the wavenumber enters.  Below
     the turning radius l' the channel-(n+1) wave grows and the result
-    flattens to beta/2.  It is NaN only where both waves overflow (rho well
-    below l, see _channel_pair) and past about 7e8, where J = Y = 0 in scipy.
+    flattens to beta/2.  It is NaN where both waves overflow (rho well below
+    l, see _channel_pair) and past 7.15e8 wherever :func:`hankel1` has no Y
+    (orders above about 86), never the finite value a spurious Y = 0 gives.
     """
     _, _, h_l, h_lp = _channel_pair(np.asarray(rho, dtype=float), n, beta)
     c = math.pi / (2.0 * beta)

@@ -255,11 +255,18 @@ def test_pi_digits_certificate_consistency():
     detail = pi_digits_detail(6)
     assert detail.value == 3141592
     assert detail.collision_count == detail.pi_floor == detail.value
-    assert detail.bits >= 64 + 60
+    assert detail.bits == 103
 
 
 def test_pi_digits_large_n():
     assert pi_digits(20) == 314159265358979323846
+
+
+def test_pi_digits_certify_at_the_count_start():
+    # route (a)'s start, 64 + bit_length(100**N) - 1, certifies both floors
+    # at once; a doubling would cost about 4 times the time
+    for n in range(301):
+        assert pi_digits_detail(n).bits == 64 + (100 ** n).bit_length() - 1
 
 
 def test_pi_digits_rejects_negative():
@@ -268,9 +275,9 @@ def test_pi_digits_rejects_negative():
 
 
 def test_pi_digits_beyond_former_precision_cap():
-    # 64 + 10 N bits certify at once; a fixed 65536-bit cap stopped near N = 6500
+    # the start certifies at once; a fixed 65536-bit cap stopped near N = 6500
     detail = pi_digits_detail(6600)
-    assert detail.bits == 66064
+    assert detail.bits == 43913
     assert detail.collision_count == detail.pi_floor == detail.value
     assert detail.value // 10 ** 6580 == 314159265358979323846
 

@@ -31,10 +31,10 @@ def test_digits_prints_value_and_certificate(capsys):
     assert "series route" not in err
 
 
-@pytest.mark.parametrize("n, bits", [(0, 64), (1, 74), (8, 144), (100, 1064)])
+@pytest.mark.parametrize("n, bits", [(0, 64), (1, 70), (8, 117), (100, 728)])
 def test_digits_certificate_bytes(n, bits, tmp_path, capsys):
     # the note, the provenance line and the manifest all carry the certifying
-    # precision, 64 + 10 N bits
+    # precision, count_certified's start at M/m = 100**N: 64 + floor(log2 100**N)
     with mpmath.workdps(n + 30):
         value = str(int(mpmath.floor(mpmath.pi * 10 ** n)))
     code, out, err = run_cli(["digits", "--N", str(n), "--manifest", str(tmp_path / "m.json")],
@@ -351,6 +351,18 @@ def test_nonfinite_output_exit_3(argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(quantum, "theta_mean",
                             lambda rho, n, beta: np.full(np.shape(rho), np.nan))
     code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("pibilliards: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quantum_far_radius_missing_y_exit_3(tmp_path, capsys):
+    # the last grid radius passes 7.15e8, where scipy's Y_l is a spurious 0:
+    # the curve printed 0.5 there (mpmath: 0.5497) with exit 0
+    out_path = tmp_path / "q.csv"
+    code, out, err = run_cli(["quantum", "--mass-ratio", "1e8", "--n", "1",
+                              "--samples", "20000", "--out", str(out_path)], capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("pibilliards: ")

@@ -108,28 +108,38 @@ def test_wronskian_identity_grid():
 
 # Orders and arguments reach beyond AMOS's range (about 1.07e9), where
 # hankel1 gives NaN and cyl_y falls back to yv, with subnormal orders as 0.
+# Past 7.15e8 an exact 0 from scipy is a missing value, NaN.
 _SMALLEST_NORMAL = 2.2250738585072014e-308
+_Y_ZERO_ARGUMENT = 7.15e8
 _ORDERS = st.one_of(st.integers(0, 49).map(float), st.floats(0.0, 1e5),
                    st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e))
 _ARGUMENTS = st.one_of(st.floats(1e-3, 3e9), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+def _yv_or_missing(order, x):
+    """scipy's yv, with its exact zeros past 7.15e8 as NaN."""
+    from scipy.special import yv
+    y = yv(order, x)
+    return np.where((y == 0) & (np.asarray(x) > _Y_ZERO_ARGUMENT), np.nan, y)[()]
 
 
 @settings(max_examples=300, deadline=None)
 @given(nu=_ORDERS, xs=st.lists(_ARGUMENTS, min_size=1, max_size=16))
 @example(nu=1e4, xs=[1.0, 1e4, 1e9])     # Y overflows at the first point
 @example(nu=0.0, xs=[1e-3, 7.2e8, 3e9])  # Y_0 finite at the ends of the range
-@example(nu=100.0, xs=[7.2e8])          # scipy's Y is -0.0 here
+@example(nu=100.0, xs=[7.2e8, 1e3])     # scipy's Y is -0.0 at 7.2e8: missing
 @example(nu=0.5, xs=[1e17, 1e300])      # hankel1 NaN, yv finite
 @example(nu=1.08e9, xs=[1.0, 2e9])      # an order beyond AMOS's range
 @example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0 where Y_0 is not
 @example(nu=2.0 ** -1023, xs=[1.0])     # hankel1 and yv 4 ulp off Y_0
 def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
     # J, Y and H1 are views of one hankel1 evaluation, so cyl_j passes
-    # through the yv fallback too and must still be jv bit for bit
-    from scipy.special import jv, yv
+    # through the yv fallback too and must still be jv bit for bit; Y is yv
+    # bit for bit except where the missing-value rule makes scipy's 0 NaN
+    from scipy.special import jv
     order = 0.0 if nu < _SMALLEST_NORMAL else nu  # Y_nu is Y_0 to the last bit
     x = np.array(xs)
-    got, want = cyl_y(nu, x), yv(order, x)
+    got, want = cyl_y(nu, x), _yv_or_missing(order, x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     overflow = np.isinf(want)
     assert np.all(np.isneginf(got[overflow]) & np.isneginf(want[overflow]))
@@ -143,7 +153,7 @@ def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
     assert type(gj) is np.float64 and type(hi) is np.complex128
     assert gj.tobytes() == got_j[0].tobytes() and hi.tobytes() == h[0].tobytes()
     for xi in xs:
-        g, w = cyl_y(nu, xi), yv(order, xi)
+        g, w = cyl_y(nu, xi), _yv_or_missing(order, xi)
         assert type(g) is np.float64  # a numpy scalar, not a 0-d array
         assert np.float64(g).tobytes() == np.float64(w).tobytes()
 
@@ -324,7 +334,7 @@ def test_theta_mean_finite_where_channel_n_plus_1_overflows(n, exponent):
     # on the curve grid rho = l / cos(eta), yv of order l' overflows from
     # M/m = 1e5 (n = 1) on, and both routes take the pair as (0, 1) there.
     # Beyond rho of about 7e8, which n >= 9 reaches at M/m = 1e8, scipy
-    # returns J = Y = 0 (still open), so the grid stops at 5e8
+    # returns Y = 0, which hankel1 takes as missing, so the grid stops at 5e8
     beta = BilliardParams.from_mass_ratio(10.0 ** exponent).wedge_angle
     rhos = n * math.pi / beta / np.cos((np.arange(2000) + 0.5) * (math.pi / 4000))
     rhos = rhos[rhos < 5e8]
@@ -334,6 +344,14 @@ def test_theta_mean_finite_where_channel_n_plus_1_overflows(n, exponent):
     for i in overflowed[[0, overflowed.size // 2, -1]] if overflowed.size else []:
         assert abs(theta_mean_quadrature(rhos[i], n, beta) - closed[i]) <= 1e-12 * beta
         assert math.isfinite(theta_mean_quadrature(rhos[i], n, beta, wave="outgoing"))
+
+
+def test_theta_mean_missing_where_scipy_y_is_zero():
+    # at order 100.5 scipy's Y_l is -0 here, which gave a finite 0.5843 beta
+    # where mpmath gives 0.3199 beta: the missing value is NaN instead
+    beta = math.pi / 100.5
+    assert np.isnan(np.imag(hankel1(100.5, 1e9)))
+    assert math.isnan(theta_mean(1e9, 1, beta))
 
 
 def test_eta_of_values():
