@@ -11,35 +11,31 @@ from .classical import (ClassicalState, CollisionEvent, CollisionKind,
                         classical_eta_curve, count_certified,
                         count_closed_form, pi_digits,
                         pi_digits_detail, simulate)
-from .core import (BilliardParams, DomainError, PolarPoint, beta_of_ratio,
-                   to_polar)
+from .core import BilliardParams, DomainError, beta_of_ratio
 from .curves import CurveSeries, count_extrema, first_extremum_abscissa
 from .quantum import (AMPLITUDE_COEFFICIENT_RULE, CylinderPrecisionError,
                       CylinderValue, amplitude_coefficient, cyl_j, cyl_y,
-                      cylinder, eta_of, hankel1, phase_shift,
+                      cylinder, hankel1, phase_shift,
                       phase_shift_difference, sample_quantum_curve, theta_mean,
                       theta_mean_quadrature)
-from .semiclassical import (SemiclassicalConfig, accumulated_phase, alpha_of,
-                            berry_connection, big_ball_speed, energy_level,
-                            extremum_count, mean_position, sample_curve,
-                            total_phase, two_level_energy)
+from .semiclassical import (SemiclassicalConfig, accumulated_phase,
+                            berry_connection, extremum_count, sample_curve,
+                            total_phase)
 
 __all__ = [
     "__version__",
     "BigReal",
-    "BilliardParams", "DomainError", "PolarPoint",
-    "beta_of_ratio", "to_polar",
+    "BilliardParams", "DomainError", "beta_of_ratio",
     "CurveSeries", "count_extrema", "first_extremum_abscissa",
     "ClassicalState", "CollisionEvent", "CollisionKind", "CollisionTrace",
     "SimulationConsistencyError", "IndeterminateFloorError",
     "PiDigitsMismatchError", "PiDigitsResult",
     "simulate", "count_closed_form", "count_certified", "pi_digits", "pi_digits_detail",
     "classical_curve", "classical_eta_curve",
-    "SemiclassicalConfig", "energy_level", "two_level_energy",
-    "berry_connection", "big_ball_speed", "accumulated_phase", "total_phase",
-    "mean_position", "extremum_count", "alpha_of", "sample_curve",
+    "SemiclassicalConfig", "berry_connection", "accumulated_phase",
+    "total_phase", "extremum_count", "sample_curve",
     "CylinderValue", "CylinderPrecisionError", "AMPLITUDE_COEFFICIENT_RULE",
     "amplitude_coefficient", "cyl_j", "cyl_y", "cylinder", "hankel1",
     "phase_shift", "phase_shift_difference",
-    "theta_mean", "theta_mean_quadrature", "eta_of", "sample_quantum_curve",
+    "theta_mean", "theta_mean_quadrature", "sample_quantum_curve",
 ]

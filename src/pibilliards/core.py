@@ -1,10 +1,11 @@
-"""Shared parameter types and the mass-scaled configuration-space transform.
+"""Shared parameter types, domain checks and the wedge angle.
 
 Two balls on a half-line (heavy ball at x, light ball at y, hard wall at the
 origin, 0 <= y <= x) map to a single free particle in a planar wedge once the
-coordinates are scaled by the square roots of the masses.  The wedge angle is
-beta = arccot(R) with R = sqrt(M/m), and every model in this package works in
-that geometry.
+coordinates are scaled by the square roots of the masses: the polar point
+rho = sqrt(M x^2 + m y^2), theta = atan2(sqrt(m) y, sqrt(M) x) takes the strip
+0 <= y <= x onto 0 <= theta <= beta.  The wedge angle is beta = arccot(R) with
+R = sqrt(M/m), and every model in this package works in that geometry.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ class DomainError(ValueError):
 
 
 # Relative slack used when validating inequalities that are exact in real
-# arithmetic but only hold to rounding error for states produced by the
-# event-driven simulation (e.g. y == x at a collision instant).
+# arithmetic but only hold to rounding error (a width computed to equal its
+# turning value may land a hair below it).
 _REL_SLACK = 1e-12
 
 
@@ -35,12 +36,6 @@ def _check_quantum_number(n) -> None:
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta <= math.pi / 2:
         raise DomainError("beta must lie in (0, pi/2]")
-
-
-def _check_real(name: str, value) -> None:
-    """``value`` (a number or an array) is neither NaN nor +-inf."""
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} must be finite")
 
 
 def _check_positive(name: str, value, zero_ok: bool = False) -> None:
@@ -67,8 +62,8 @@ class BilliardParams:
     """Masses of the two balls and the unit of action.
 
     M is the heavy (incoming) ball, m the light ball trapped against the
-    wall.  hbar only matters for the quantum models; the default 1.0 gives
-    natural units.
+    wall.  hbar is checked and recorded in the provenance of ``simulate``,
+    but no computation reads it; the default 1.0 gives natural units.
     """
 
     M: float = 1.0
@@ -113,19 +108,15 @@ class BilliardParams:
         unknown = set(data) - {"M", "m", "hbar"}
         if unknown:
             raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
+        values = {}
         for key, value in data.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DomainError(f"parameter {key} must be a JSON number, got {value!r}")
-        return cls(M=float(data.get("M", 1.0)), m=float(data.get("m", 1.0)),
-                   hbar=float(data.get("hbar", 1.0)))
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Mass-scaled polar coordinates: rho >= 0, theta in [0, beta]."""
-
-    rho: float
-    theta: float
+            try:
+                values[key] = float(value)
+            except OverflowError:  # an integer beyond the double range
+                raise DomainError(f"parameter {key} is beyond the double range") from None
+        return cls(**values)
 
 
 def beta_of_ratio(ratio_root: float) -> float:
@@ -136,22 +127,3 @@ def beta_of_ratio(ratio_root: float) -> float:
     """
     _check_positive("mass-ratio root", ratio_root, zero_ok=True)
     return math.atan2(1.0, ratio_root)
-
-
-def to_polar(x: float, y: float, params: BilliardParams) -> PolarPoint:
-    """Map ball positions (x, y) to the wedge point (rho, theta).
-
-    rho = sqrt(M x^2 + m y^2) and theta = atan2(sqrt(m) y, sqrt(M) x), so the
-    admissible strip 0 <= y <= x becomes 0 <= theta <= beta.  A point outside
-    the strip by no more than the rounding slack is clamped onto it.  The
-    degenerate origin maps to (0, 0) by convention.
-    """
-    _check_real("x and y", (x, y))
-    slack = _REL_SLACK * max(abs(x), 1.0)
-    if y < -slack or y > x + slack:
-        raise DomainError(f"inadmissible configuration: need 0 <= y <= x, got x={x}, y={y}")
-    x = max(x, 0.0)
-    u = math.sqrt(params.M) * x
-    w = math.sqrt(params.m) * min(max(y, 0.0), x)
-    return PolarPoint(rho=math.hypot(u, w), theta=math.atan2(w, u))
-

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .core import (DomainError, _check_beta, _check_positive,
-                   _check_quantum_number, _turning_ratio)
+                   _check_quantum_number)
 from .curves import CurveSeries, _eta_grid, _gauss_legendre
 
 # Accuracy contract for cylinder-function evaluation (relative).
@@ -52,9 +52,12 @@ class CylinderValue:
 
 
 def cyl_j(nu, x):
-    """Bessel function of the first kind, real order nu >= 0, x > 0: the real
-    part of :func:`hankel1`, which is ``scipy.special.jv`` bit for bit."""
-    return np.real(hankel1(nu, x))
+    """Bessel function of the first kind, real order nu >= 0, x > 0:
+    ``scipy.special.jv``, the real part of :func:`hankel1`, evaluated without
+    Y.  The order and argument check here is the one :func:`hankel1` uses."""
+    _check_positive("order", nu, zero_ok=True)
+    _check_positive("argument", x)
+    return _sp.jv(nu, x)
 
 
 def cyl_y(nu, x):
@@ -88,8 +91,9 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 
 def hankel1(nu, x):
     """H(1) = J + iY (incident radial wave) for real order nu >= 0 and x > 0;
-    its conjugate is the outgoing wave.  Every J and Y is taken here; only
-    the derivatives J' and Y' in :func:`cylinder` come from scipy directly.
+    its conjugate is the outgoing wave.  Every Y is taken here, and J from
+    :func:`cyl_j`, which checks the order and argument; only the derivatives
+    J' and Y' in :func:`cylinder` come from scipy directly.
 
     J is ``scipy.special.jv``.  Y is taken as Im H1: AMOS builds Y from the
     Hankel pair, so ``yv`` computes both H1 and H2 where ``hankel1`` computes
@@ -103,9 +107,7 @@ def hankel1(nu, x):
     scipy gives Y = -0 at orders above about 86, while the zeros of Y are no
     doubles and its amplitude is about sqrt(2/(pi x)).
     """
-    _check_positive("order", nu, zero_ok=True)
-    _check_positive("argument", x)
-    h = np.array(_sp.jv(nu, x), dtype=complex)
+    h = np.array(cyl_j(nu, x), dtype=complex)
     nu = np.where(np.asarray(nu) < _SMALLEST_NORMAL, 0.0, nu)
     # set h.imag, not J + 1j * Y: 0 * inf would make the real part NaN
     h.imag = np.imag(_sp.hankel1(nu, x))
@@ -204,14 +206,6 @@ def theta_mean_quadrature(rho: float, n: int, beta: float,
     psi = h_l * np.sin(l * theta) + np.exp(1j * c * math.pi) * h_lp * np.sin(lp * theta)
     density = np.abs(psi) ** 2
     return float(np.sum(wt * theta * density) / np.sum(wt * density))
-
-
-def eta_of(rho: float, l: float) -> float:
-    """Compactified radius arccos(l/rho) in [0, pi/2) at the dimensionless
-    radius ``rho`` = k rho; zero at the turning radius rho = l, approaching
-    pi/2 far away."""
-    _check_positive("l", l)
-    return math.acos(_turning_ratio(rho, l, "rho", "the turning radius l"))
 
 
 def sample_quantum_curve(n: int, beta: float, grid: int = 2000) -> CurveSeries:

@@ -7,12 +7,15 @@ levels makes its mean position oscillate at the instantaneous Bohr frequency,
 and the number of oscillations over the full approach-and-retreat of the
 heavy ball reproduces the collision count of the fully classical process.
 
-The heavy ball's speed follows from energy conservation: the kinetic energy
-it gains equals the drop of the mean two-level energy (E_n + E_{n+1})/2 as
-the well widens from its minimum width x_min.  That normalization is the one
-under which the accumulated Bohr phase integrates to the closed form used
-throughout this module; it is cross-checked against direct numerical
-integration in the test suite.
+The well of width x has the levels E_n = (n pi hbar)^2 / (2 m x^2).  The
+heavy ball's speed follows from energy conservation, the speed law
+
+    M v^2 / 2 + (E_n(x) + E_{n+1}(x)) / 2 = (E_n + E_{n+1})(x_min) / 2,
+
+so it vanishes at the minimum width x_min and rises toward its limit as the
+well widens.  That normalization is the one under which the accumulated Bohr
+phase integrates to the closed form used throughout this module; the test
+suite cross-checks it against direct numerical integration.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BilliardParams, _check_positive, _check_quantum_number,
-                   _check_real, _check_v_sign, _turning_ratio)
+                   _check_v_sign, _turning_ratio)
 from .curves import CurveSeries, _alpha_grid, _gauss_legendre
 
 @dataclass(frozen=True)
@@ -40,9 +43,11 @@ class SemiclassicalConfig:
 
     @property
     def position_amplitude(self) -> float:
-        """8n(n+1) / (pi^2 (2n+1)^2), the mean-position oscillation amplitude
-        as a fraction of the well width; always below 1/2.  It equals the
-        quantum mean-angle coefficient ``amplitude_coefficient(n)`` over pi^2."""
+        """A(n) = 8n(n+1) / (pi^2 (2n+1)^2), the mean-position oscillation
+        amplitude as a fraction of the well width: at Bohr phase phi the mean
+        position is x (1/2 - A(n) cos(phi)), inside the well as A(n) < 1/2.
+        It equals the quantum mean-angle coefficient
+        ``amplitude_coefficient(n)`` over pi^2."""
         n = self.n
         # its own expression: amplitude_coefficient(n) / pi**2 differs in the
         # last bit for about a third of all n, and the manifests record this value
@@ -55,26 +60,6 @@ class SemiclassicalConfig:
         n = self.n
         ratio = (4 * n * n + 4 * n + 1) / (4 * n * n + 4 * n + 2)
         return math.sqrt(ratio) * math.pi * self.params.mass_ratio_root
-
-    @property
-    def asymptotic_speed(self) -> float:
-        """Heavy-ball speed limit as the well width grows without bound."""
-        n, p = self.n, self.params
-        return (math.pi * p.hbar / self.x_min) * \
-            math.sqrt((2 * n * n + 2 * n + 1) / (2.0 * p.M * p.m))
-
-
-def energy_level(n: int, x: float, params: BilliardParams) -> float:
-    """n-th level of an infinite well of width x: (n pi hbar)^2 / (2 m x^2)."""
-    _check_quantum_number(n)
-    _check_positive("well width", x)
-    return (n * math.pi * params.hbar) ** 2 / (2.0 * params.m * x * x)
-
-
-def two_level_energy(x: float, cfg: SemiclassicalConfig) -> float:
-    """Mean energy (E_n + E_{n+1})/2 of the equal-weight two-level state."""
-    return 0.5 * (energy_level(cfg.n, x, cfg.params) +
-                  energy_level(cfg.n + 1, x, cfg.params))
 
 
 def berry_connection(n: int, x: float) -> float:
@@ -92,17 +77,6 @@ def berry_connection(n: int, x: float) -> float:
     dpsi_dx = -0.5 * math.sqrt(2.0 / x ** 3) * np.sin(a * y) \
         - math.sqrt(2.0 / x) * np.cos(a * y) * (a * y / x)
     return float(np.sum(wt * psi * dpsi_dx))
-
-
-def big_ball_speed(x: float, cfg: SemiclassicalConfig) -> float:
-    """Heavy-ball speed at well width x >= x_min.
-
-    Vanishes at the retracing point and rises monotonically toward
-    :attr:`SemiclassicalConfig.asymptotic_speed`; satisfies the bookkeeping
-    M v^2 / 2 + (E_n(x) + E_{n+1}(x))/2 = (E_n + E_{n+1})(x_min)/2.
-    """
-    ratio = _turning_ratio(x, cfg.x_min, "x", "the retracing point x_min")
-    return cfg.asymptotic_speed * math.sqrt(max(0.0, 1.0 - ratio * ratio))
 
 
 def accumulated_phase(x: float, cfg: SemiclassicalConfig, v_sign: int) -> float:
@@ -125,24 +99,10 @@ def total_phase(cfg: SemiclassicalConfig) -> float:
     return cfg.phase_prefactor * math.pi
 
 
-def mean_position(cfg: SemiclassicalConfig, phase: float, x: float) -> float:
-    """Mean particle position x/2 - x * A(n) * cos(phase); stays in (0, x)."""
-    _check_positive("well width", x)
-    _check_real("phase", phase)
-    return x / 2.0 - x * cfg.position_amplitude * math.cos(phase)
-
-
 def extremum_count(cfg: SemiclassicalConfig) -> int:
     """Number of mean-position oscillation extrema over the full trip,
     floor(P(n, R))."""
     return math.floor(cfg.phase_prefactor)
-
-
-def alpha_of(rho: float, rho_min: float, v_sign: int) -> float:
-    """Compactified time sgn(v) * arccos(rho_min/rho) in [-pi/2, pi/2]."""
-    _check_v_sign(v_sign)
-    _check_positive("rho_min", rho_min)
-    return v_sign * math.acos(_turning_ratio(rho, rho_min, "rho", "rho_min"))
 
 
 def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:

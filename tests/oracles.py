@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: Bessel values come from a
 high-precision power series and from quadrature of the integral
 representation (not from scipy); the accumulated Bohr phase comes from an
-adaptive ODE integration of the Bohr frequency (not from the closed form);
+adaptive ODE integration of the Bohr frequency over the heavy-ball speed
+``big_ball_speed`` of the speed law, whose limit is ``asymptotic_speed`` (not
+from the closed form);
 mean angles come from adaptive quadrature (not from Gauss-Legendre), the
 incident one also from mpmath's Hankel functions at 40 digits (not from scipy,
 and with no overflow to scale away), and the outgoing one also from the
@@ -11,11 +13,12 @@ closed form of the H2 = J - iY pair (not from quadrature of the conjugated H1
 pair); channel phase shifts come from the
 phase of H1 integrated through its Wronskian (not from the closed form
 (l + 1/2) pi); the
-classical curves are replayed from the float event trace of ``simulate`` and
-evaluated on the folded straight line in high-precision arithmetic (not from
-the vectorized unfolding); pi comes from the Machin series and interval
-quotients from all eight endpoint quotients (not from the Chudnovsky binary
-splitting and the two-quotient ``BigReal.divide``).
+classical curves are replayed from the float event trace of ``simulate``,
+mapped to the wedge by ``to_polar``, and evaluated on the folded straight line
+in high-precision arithmetic (not from the vectorized unfolding); pi comes
+from the Machin series and interval quotients from all eight endpoint
+quotients (not from the Chudnovsky binary splitting and the two-quotient
+``BigReal.divide``).
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from scipy import integrate
 
 from pibilliards.bigreal import BigReal
 from pibilliards.classical import ClassicalState, CollisionTrace
-from pibilliards.core import BilliardParams, to_polar
-from pibilliards.semiclassical import SemiclassicalConfig, big_ball_speed
+from pibilliards.core import BilliardParams, _turning_ratio
+from pibilliards.semiclassical import SemiclassicalConfig
 
 
 def bessel_j_series(nu: float, x: float) -> float:
@@ -103,6 +106,24 @@ def bessel_j_integral(nu: float, x: float) -> float:
         return float((osc - tail) / mpmath.pi)
 
 
+def asymptotic_speed(cfg: SemiclassicalConfig) -> float:
+    """Heavy-ball speed limit as the well width grows without bound."""
+    n, p = cfg.n, cfg.params
+    return (math.pi * p.hbar / cfg.x_min) * \
+        math.sqrt((2 * n * n + 2 * n + 1) / (2.0 * p.M * p.m))
+
+
+def big_ball_speed(x: float, cfg: SemiclassicalConfig) -> float:
+    """Heavy-ball speed at well width x >= x_min.
+
+    Vanishes at the retracing point and rises monotonically toward
+    :func:`asymptotic_speed`; satisfies the speed law
+    M v^2 / 2 + (E_n(x) + E_{n+1}(x))/2 = (E_n + E_{n+1})(x_min)/2.
+    """
+    ratio = _turning_ratio(x, cfg.x_min, "x", "the retracing point x_min")
+    return asymptotic_speed(cfg) * math.sqrt(max(0.0, 1.0 - ratio * ratio))
+
+
 def ode_phase_integral(cfg: SemiclassicalConfig, x_upper: float) -> float:
     """int_{x_min}^{x_upper} (E_{n+1} - E_n)/(hbar v(x)) dx by adaptive ODE
     integration, with the integrable sqrt singularity at the turning point
@@ -112,7 +133,7 @@ def ode_phase_integral(cfg: SemiclassicalConfig, x_upper: float) -> float:
     eps = 1e-8
     x0 = cfg.x_min * (1.0 + eps)
     # leading contribution of the (x - x_min)^(-1/2) singularity over [x_min, x0]
-    local = bohr_num * math.sqrt(2.0 * eps) / (cfg.x_min * cfg.asymptotic_speed)
+    local = bohr_num * math.sqrt(2.0 * eps) / (cfg.x_min * asymptotic_speed(cfg))
 
     def rhs(x, _):
         return bohr_num / (x * x * big_ball_speed(x, cfg))
@@ -130,7 +151,7 @@ def ode_half_trip_phase(cfg: SemiclassicalConfig) -> float:
     base = ode_phase_integral(cfg, x_upper)
     p = cfg.params
     bohr_num = (2 * cfg.n + 1) * math.pi ** 2 * p.hbar / (2.0 * p.m)
-    tail = bohr_num / (cfg.asymptotic_speed * x_upper)
+    tail = bohr_num / (asymptotic_speed(cfg) * x_upper)
     return base + tail
 
 
@@ -247,6 +268,20 @@ def two_level_mean_position_quadrature(n: int, phase: float, x: float) -> float:
 # -- classical curves ----------------------------------------------------------
 
 
+def to_polar(x: float, y: float, params: BilliardParams) -> tuple[float, float]:
+    """Map ball positions (x, y) to the wedge point (rho, theta).
+
+    rho = sqrt(M x^2 + m y^2) and theta = atan2(sqrt(m) y, sqrt(M) x), so the
+    admissible strip 0 <= y <= x becomes 0 <= theta <= beta.  A point outside
+    the strip, as a rounded replay can give, is clamped onto it.  The
+    degenerate origin maps to (0, 0) by convention.
+    """
+    x = max(x, 0.0)
+    u = math.sqrt(params.M) * x
+    w = math.sqrt(params.m) * min(max(y, 0.0), x)
+    return math.hypot(u, w), math.atan2(w, u)
+
+
 def _segment_states(trace: CollisionTrace) -> list[ClassicalState]:
     return [trace.initial] + [ev.state_after for ev in trace.events]
 
@@ -302,7 +337,7 @@ def replay_angle_curve(trace: CollisionTrace, etas) -> np.ndarray:
     """Incoming-branch theta/beta at each eta (alpha = -eta), read off the trace."""
     positions = _replay_positions(trace, _replay_times(trace, -np.asarray(etas)))
     beta = trace.params.wedge_angle
-    return np.array([to_polar(x, y, trace.params).theta / beta for x, y in positions])
+    return np.array([to_polar(x, y, trace.params)[1] / beta for x, y in positions])
 
 
 def _folded_line_mp(params: BilliardParams):

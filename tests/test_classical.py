@@ -8,13 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (closed_form_floor_mp, count_floor_mp, folded_line_angle_mp,
                      folded_line_position_mp, replay_angle_curve,
-                     replay_position_curve, replay_rho_min_and_time)
+                     replay_position_curve, replay_rho_min_and_time, to_polar)
 
 from pibilliards import (BilliardParams, CollisionKind, DomainError,
-                         IndeterminateFloorError, alpha_of, beta_of_ratio,
+                         IndeterminateFloorError, beta_of_ratio,
                          classical_curve, classical_eta_curve,
                          count_certified, count_closed_form, pi_digits,
-                         pi_digits_detail, simulate, to_polar)
+                         pi_digits_detail, simulate)
 from pibilliards import classical
 from pibilliards.bigreal import BigReal
 from pibilliards.cli import main
@@ -404,7 +404,8 @@ def test_events_land_on_unfolded_crossings(ratio):
     delta = 16 * trace.count * EPS
     for ev, expected in zip(trace.events, crossings):
         s = ev.state_after
-        alpha = alpha_of(to_polar(s.x, s.y, p).rho, rho_min, int(np.sign(ev.t - t_star)))
+        rho, _ = to_polar(s.x, s.y, p)
+        alpha = np.sign(ev.t - t_star) * math.acos(min(rho_min / rho, 1.0))
         assert abs(alpha - expected) <= \
             2 * delta / max(abs(math.sin(expected)), math.sqrt(delta))
 

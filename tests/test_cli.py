@@ -423,7 +423,10 @@ def test_calls_in_one_process_do_not_leak(tmp_path, monkeypatch, capsys):
     ('{"M": [1]}', "JSON number"),
     ('{"M": true}', "JSON number"),
     ('{"M": "1e2"}', "JSON number"),
-], ids=["unknown-key", "null", "list", "bool", "string"])
+    # out of the double range: an integer overflows float(), a float parses as inf
+    ('{"M": 1' + '0' * 400 + '}', "beyond the double range"),
+    ('{"M": 1e400}', "positive and finite"),
+], ids=["unknown-key", "null", "list", "bool", "string", "huge-int", "huge-float"])
 def test_bad_params_file_exit_code(text, message, tmp_path, capsys):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)

@@ -10,7 +10,7 @@ from oracles import bessel_j_integral, bessel_j_series, bessel_y_integral, \
     theta_mean_outgoing_closed_form
 from pibilliards import (AMPLITUDE_COEFFICIENT_RULE, BilliardParams, DomainError,
                          amplitude_coefficient, count_closed_form,
-                         count_extrema, cyl_j, cyl_y, cylinder, eta_of,
+                         count_extrema, cyl_j, cyl_y, cylinder,
                          first_extremum_abscissa, hankel1,
                          phase_shift, phase_shift_difference,
                          sample_quantum_curve, theta_mean,
@@ -68,8 +68,8 @@ def test_cyl_domain_errors():
             cyl_j(1.0, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             theta_mean(bad, 1, BETA10)
-    # the order and argument check lives in hankel1 alone; every entry
-    # point must still reach it
+    # the order and argument check lives in cyl_j alone, which hankel1
+    # calls; every entry point must still reach it
     for entry in (hankel1, cylinder):
         with pytest.raises(DomainError):
             entry(-1.0, 1.0)
@@ -92,6 +92,22 @@ def test_cylinder_certificate():
     # Wronskian residual drives the bound
     val2 = cylinder(0.5, 2.0)
     assert val2.err_bound <= 1e-10
+
+
+def test_cyl_j_evaluates_no_y(monkeypatch):
+    # J is jv alone: through H1, cyl_j(1e8, 1e17) took about 1 s in yv
+    from scipy import special
+    orders, xs = np.array([0.5, 10.0, 1e8]), np.array([1.0, 1e3, 1e17])
+    want = special.jv(orders, xs)
+
+    def no_y(*_):
+        raise AssertionError("cyl_j evaluated Y")
+    monkeypatch.setattr(special, "hankel1", no_y)
+    monkeypatch.setattr(special, "yv", no_y)
+    assert cyl_j(orders, xs).tobytes() == want.tobytes()
+    assert cyl_j(1e8, 1e17) == want[2]
+    with pytest.raises(DomainError):
+        cyl_j(-1.0, 1.0)
 
 
 def test_wronskian_identity_grid():
@@ -133,9 +149,9 @@ def _yv_or_missing(order, x):
 @example(nu=5e-324, xs=[1.0, 3.0])      # hankel1 NaN, yv 0 where Y_0 is not
 @example(nu=2.0 ** -1023, xs=[1.0])     # hankel1 and yv 4 ulp off Y_0
 def test_cyl_y_is_scipy_yv_bit_for_bit(nu, xs):
-    # J, Y and H1 are views of one hankel1 evaluation, so cyl_j passes
-    # through the yv fallback too and must still be jv bit for bit; Y is yv
-    # bit for bit except where the missing-value rule makes scipy's 0 NaN
+    # cyl_j and Re H1 are jv bit for bit, also where H1 falls back to yv;
+    # Y is yv bit for bit except where the missing-value rule makes scipy's
+    # 0 NaN
     from scipy.special import jv
     order = 0.0 if nu < _SMALLEST_NORMAL else nu  # Y_nu is Y_0 to the last bit
     x = np.array(xs)
@@ -352,19 +368,6 @@ def test_theta_mean_missing_where_scipy_y_is_zero():
     beta = math.pi / 100.5
     assert np.isnan(np.imag(hankel1(100.5, 1e9)))
     assert math.isnan(theta_mean(1e9, 1, beta))
-
-
-def test_eta_of_values():
-    assert eta_of(10.0, 10.0) == 0.0
-    assert eta_of(1e9, 10.0) == pytest.approx(math.pi / 2, abs=1e-4)
-    assert eta_of(20.0, 10.0) == pytest.approx(math.pi / 3, rel=1e-14)
-    with pytest.raises(DomainError):
-        eta_of(5.0, 10.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            eta_of(bad, 10.0)
-        with pytest.raises(DomainError):
-            eta_of(20.0, bad)
 
 
 # -- curves ------------------------------------------------------------------------------

@@ -3,47 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ode_half_trip_phase, ode_phase_integral,
-                     two_level_mean_position_quadrature)
+from oracles import (asymptotic_speed, big_ball_speed, ode_half_trip_phase,
+                     ode_phase_integral, two_level_mean_position_quadrature)
 from pibilliards import (BilliardParams, DomainError, SemiclassicalConfig,
-                         accumulated_phase, alpha_of, berry_connection,
-                         big_ball_speed, count_extrema, energy_level,
-                         extremum_count, mean_position, sample_curve,
-                         total_phase, two_level_energy)
+                         accumulated_phase, berry_connection, count_extrema,
+                         extremum_count, sample_curve, total_phase)
 
 
 def cfg_for(n, ratio_root, x_min=1.0):
     return SemiclassicalConfig(n, BilliardParams(ratio_root ** 2, 1.0), x_min=x_min)
 
 
-# -- levels and Berry connection ------------------------------------------------------
-
-def test_energy_level_values():
-    p = BilliardParams(1, 1)
-    assert energy_level(1, 1.0, p) == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
-    assert energy_level(3, 2.0, p) == pytest.approx(9 * math.pi ** 2 / 8, rel=1e-15)
-    for x in (0.3, 1.0, 7.7):
-        assert energy_level(2, x, p) / energy_level(1, x, p) == pytest.approx(4.0, rel=1e-14)
-
-
-def test_energy_level_monotonicity():
-    p = BilliardParams(1, 2.5, hbar=0.7)
-    levels = [energy_level(n, 1.3, p) for n in range(1, 8)]
-    assert all(a < b for a, b in zip(levels, levels[1:]))
-    widths = [energy_level(3, x, p) for x in np.linspace(0.5, 5.0, 20)]
-    assert all(a > b for a, b in zip(widths, widths[1:]))
-
-
-def test_energy_level_domain():
-    p = BilliardParams()
-    with pytest.raises(DomainError):
-        energy_level(0, 1.0, p)
-    with pytest.raises(DomainError):
-        energy_level(1, 0.0, p)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            energy_level(1, bad, p)
-
+# -- Berry connection ------------------------------------------------------
 
 def test_berry_connection_quadrature_tiny():
     assert abs(berry_connection(2, 1.7)) < 1e-10
@@ -73,13 +44,13 @@ def test_speed_monotone_to_asymptote():
     xs = np.geomspace(cfg.x_min, 1e5 * cfg.x_min, 200)
     vs = [big_ball_speed(float(x), cfg) for x in xs]
     assert all(a <= b for a, b in zip(vs, vs[1:]))
-    assert vs[-1] == pytest.approx(cfg.asymptotic_speed, rel=1e-9)
+    assert vs[-1] == pytest.approx(asymptotic_speed(cfg), rel=1e-9)
 
 
 def test_speed_ratio_at_double_width():
     for n, rr in [(1, 10.0), (5, 3.0)]:
         cfg = cfg_for(n, rr, x_min=1.3)
-        ratio = big_ball_speed(2 * cfg.x_min, cfg) / cfg.asymptotic_speed
+        ratio = big_ball_speed(2 * cfg.x_min, cfg) / asymptotic_speed(cfg)
         assert ratio == pytest.approx(math.sqrt(3) / 2, rel=1e-14)
 
 
@@ -93,7 +64,13 @@ def test_speed_domain():
 
 
 def test_energy_bookkeeping():
-    # M v(x)^2 / 2 + mean two-level energy(x) = mean two-level energy(x_min)
+    # M v(x)^2 / 2 + mean two-level energy(x) = mean two-level energy(x_min),
+    # with the well levels E_n(x) = (n pi hbar)^2 / (2 m x^2)
+    def two_level_energy(x, cfg):
+        p = cfg.params
+        return 0.5 * sum((k * math.pi * p.hbar) ** 2 / (2.0 * p.m * x * x)
+                         for k in (cfg.n, cfg.n + 1))
+
     for n, rr, xm in [(1, 10.0, 1.0), (4, 3.08, 0.5), (10, 100.0, 2.0)]:
         cfg = cfg_for(n, rr, x_min=xm)
         e_turn = two_level_energy(cfg.x_min, cfg)
@@ -176,20 +153,15 @@ def test_accumulated_phase_domain():
 
 # -- mean position ------------------------------------------------------------------
 
-def test_mean_position_quarter_phase_is_midpoint():
-    cfg = cfg_for(1, 10.0)
-    assert mean_position(cfg, math.pi / 2, 1.0) == pytest.approx(0.5, abs=1e-16)
-
-
 def test_mean_position_value_and_quadrature():
+    # the mean position in a well of width x is x (1/2 - A(n) cos(phase))
     cfg = cfg_for(1, 10.0)
-    value = mean_position(cfg, 0.0, 1.0)
-    assert value == pytest.approx(0.5 - 16.0 / (9.0 * math.pi ** 2), rel=1e-14)
+    assert cfg.position_amplitude == pytest.approx(16.0 / (9.0 * math.pi ** 2), rel=1e-14)
     for phase in (0.0, 0.7, 2.0):
-        assert mean_position(cfg, phase, 1.0) == \
+        assert 0.5 - cfg.position_amplitude * math.cos(phase) == \
             pytest.approx(two_level_mean_position_quadrature(1, phase, 1.0), abs=1e-12)
     cfg5 = cfg_for(5, 10.0)
-    assert mean_position(cfg5, 1.1, 2.3) == \
+    assert 2.3 / 2 - 2.3 * cfg5.position_amplitude * math.cos(1.1) == \
         pytest.approx(two_level_mean_position_quadrature(5, 1.1, 2.3), abs=1e-12)
 
 
@@ -197,17 +169,6 @@ def test_mean_position_strictly_inside_well():
     for n in range(1, 30):
         cfg = cfg_for(n, 10.0)
         assert 0.0 < cfg.position_amplitude < 0.5
-        for phase in np.linspace(0, 2 * math.pi, 17):
-            assert 0.0 < mean_position(cfg, float(phase), 1.0) < 1.0
-
-
-def test_mean_position_domain():
-    cfg = cfg_for(1, 10.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            mean_position(cfg, bad, 1.0)
-        with pytest.raises(DomainError):
-            mean_position(cfg, 0.5, bad)
 
 
 def test_amplitude_coefficient_limit():
@@ -237,21 +198,6 @@ def test_extremum_count_matches_curve_scan():
         series = sample_curve(cfg, grid=6000)
         scanned = count_extrema(series.ys, prominence=1e-4)
         assert abs(scanned - extremum_count(cfg)) <= 1
-
-
-def test_alpha_of_values():
-    assert alpha_of(1.0, 1.0, 1) == 0.0
-    assert alpha_of(1e12, 1.0, 1) == pytest.approx(math.pi / 2, abs=1e-5)
-    assert alpha_of(2.0, 1.0, -1) == pytest.approx(-math.pi / 3, rel=1e-14)
-    with pytest.raises(DomainError):
-        alpha_of(0.5, 1.0, 1)
-    with pytest.raises(DomainError):
-        alpha_of(2.0, 0.0, 1)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            alpha_of(bad, 1.0, 1)
-        with pytest.raises(DomainError):
-            alpha_of(2.0, bad, 1)
 
 
 def test_sample_curve_bounds_and_independence():
