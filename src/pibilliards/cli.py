@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import astuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -143,21 +143,22 @@ def _cmd_count(args) -> int:
 
 
 def _trace_to_csv(trace: CollisionTrace, path: Path, sig: int) -> None:
+    """Write the header, then one row per event: its index, its kind, and t,
+    x, y, vx and vy after it as format_sig at ``sig`` digits.  All rows are
+    formatted by one ``%`` over the flattened values; ``%.{sig}g`` gives the
+    same text as format_sig.  Writes nothing, and raises FloatingPointError,
+    when the energy drift or a value is NaN or infinite."""
+    rows = [(ev.index, ev.kind.value, ev.t, s.x, s.y, s.vx, s.vy)
+            for ev in trace.events for s in (ev.state_after,)]
+    _check_finite("collision trace", trace.max_energy_drift, [event[2:] for event in rows])
+    row = "%d,%s" + f",%.{sig}g" * 5 + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("index,kind,t,x,y,vx,vy\n")
-        for ev in trace.events:
-            s = ev.state_after
-            row = [str(ev.index), ev.kind.value] + \
-                [format_sig(v, sig) for v in (ev.t, s.x, s.y, s.vx, s.vy)]
-            fh.write(",".join(row) + "\n")
+        fh.write("index,kind,t,x,y,vx,vy\n" + (row * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def _cmd_simulate(args) -> int:
     params = _geometry_params(args)
     trace = simulate(params, args.v0, args.x0, args.y0)
-    if args.trace is not None:
-        _check_finite("collision trace", trace.max_energy_drift,
-                      [astuple(ev.state_after) for ev in trace.events])
     parameters = {**_geometry_provenance(args), "M": params.M, "m": params.m,
                   "hbar": params.hbar, "v0": args.v0, "x0": args.x0, "y0": args.y0}
     printed = (str(trace.count),)

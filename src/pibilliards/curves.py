@@ -79,12 +79,15 @@ class CurveSeries:
         return [self.abscissa, self.ordinate, *self.labels.keys()]
 
     def to_csv(self, path, sig: int = 12) -> None:
-        tail = "".join("," + str(v) for v in self.labels.values()) + "\n"
-        rows = [",".join(self.header()) + "\n"]
-        rows += [f"{format_sig(x, sig)},{format_sig(y, sig)}{tail}"
-                 for x, y in zip(self.xs.tolist(), self.ys.tolist())]
+        """Write the header, then one row per sample: x and y as format_sig
+        at ``sig`` digits, then the label values.  All rows are formatted by
+        one ``%`` over the flattened values; ``%.{sig}g`` gives the same text
+        as format_sig."""
+        tail = "".join("," + str(v) for v in self.labels.values()).replace("%", "%%")
+        row = f"%.{sig}g,%.{sig}g{tail}\n"
+        values = np.column_stack((self.xs, self.ys)).ravel().tolist()
         with open(path, "w", newline="") as fh:
-            fh.write("".join(rows))
+            fh.write(",".join(self.header()) + "\n" + (row * len(self.xs)) % tuple(values))
 
     def to_json(self, path, sig: int = 12) -> None:
         payload = {

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import pibilliards
-from pibilliards import BilliardParams, hankel1, quantum
+from pibilliards import BilliardParams, cli, hankel1, quantum, simulate
 from pibilliards.cli import main
+from pibilliards.curves import format_sig
 
 
 def run_cli(argv, capsys):
@@ -137,6 +139,36 @@ def test_simulate_trace_csv(tmp_path, capsys):
     manifest = json.loads((tmp_path / "events.csv.manifest.json").read_text())
     assert manifest["collision_count"] == 31
     assert manifest["version"]
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_simulate_trace_csv_bytes(precision, tmp_path, capsys):
+    # every row is the index, the kind, and format_sig of t, x, y, vx and vy
+    path = tmp_path / "t.csv"
+    code, out, _ = run_cli(["simulate", "--N", "2", "--trace", str(path),
+                            "--precision", str(precision)], capsys)
+    assert code == 0 and out == "314\n"
+    trace = simulate(BilliardParams.from_mass_ratio(1e4), 1.0, 10.0, 1.0)
+    rows = ["index,kind,t,x,y,vx,vy"]
+    rows += [",".join([str(ev.index), ev.kind.value,
+                       *(format_sig(v, precision) for v in (ev.t, s.x, s.y, s.vx, s.vy))])
+             for ev in trace.events for s in (ev.state_after,)]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_simulate_trace_with_nan_state_exit_3(tmp_path, monkeypatch, capsys):
+    # one NaN in the states: exit 3 with the count of bad values, no file written
+    trace = simulate(BilliardParams.from_mass_ratio(100.0), 1.0, 10.0, 1.0)
+    events = list(trace.events)
+    events[5] = replace(events[5], state_after=replace(events[5].state_after, x=math.nan))
+    monkeypatch.setattr(cli, "simulate",
+                        lambda *args: replace(trace, events=tuple(events)))
+    code, out, err = run_cli(["simulate", "--N", "1", "--trace", str(tmp_path / "t.csv")],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "pibilliards: collision trace: 1 value(s) NaN or infinite in double precision\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_slow_start(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -24,9 +25,10 @@ def _format_sig_csv(series: CurveSeries, sig: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("labels", [{}, {"model": "quantum", "n": 3, "l": 31.4}],
-                         ids=["no-labels", "labels"])
-@pytest.mark.parametrize("sig", [1, 5, 12, 17])
+@pytest.mark.parametrize("labels", [{}, {"model": "quantum", "n": 3, "l": 31.4},
+                                    {"model": "50%", "n": 3}],
+                         ids=["no-labels", "labels", "percent-label"])
+@pytest.mark.parametrize("sig", [1, 5, 12, 17, 400])
 def test_to_csv_rows_are_format_sig_of_each_value(sig, labels, tmp_path):
     xs = np.array(_AWKWARD)
     series = CurveSeries("x", "y", xs, -xs[::-1], labels=labels)
@@ -51,3 +53,15 @@ def test_figures_csvs_are_format_sig_of_each_value(argv, tmp_path, monkeypatch, 
     assert len(written) == 6
     for name, (series, sig) in written.items():
         assert (tmp_path / name).read_bytes() == _format_sig_csv(series, sig).encode()
+
+
+@pytest.mark.parametrize("sig", [1, 12, 17])
+def test_to_json_rows_are_format_sig_read_back(sig, tmp_path):
+    xs = np.array([v for v in _AWKWARD if math.isfinite(v)])
+    series = CurveSeries("x", "y", xs, -xs[::-1])
+    path = tmp_path / "c.json"
+    series.to_json(path, sig=sig)
+    rows = json.loads(path.read_text())["rows"]
+    expected = [[float(format_sig(x, sig)), float(format_sig(y, sig))]
+                for x, y in zip(series.xs, series.ys)]
+    assert [[repr(v) for v in row] for row in rows] == [[repr(v) for v in row] for row in expected]
