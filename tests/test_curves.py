@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pibilliards
+from oracles import legendre_rule_mp
 from pibilliards import CurveSeries
 from pibilliards.cli import main
-from pibilliards.curves import format_sig
+from pibilliards.curves import _legendre_rule, format_sig
 
 # -0.0, subnormals, the ends of the double range, NaN and +-inf: to_csv
 # writes whatever it is given, and the CLI refuses non-finite values before it.
@@ -65,3 +70,37 @@ def test_to_json_rows_are_format_sig_read_back(sig, tmp_path):
     expected = [[float(format_sig(x, sig)), float(format_sig(y, sig))]
                 for x, y in zip(series.xs, series.ys)]
     assert [[repr(v) for v in row] for row in rows] == [[repr(v) for v in row] for row in expected]
+
+
+# -- Gauss-Legendre rule ----------------------------------------------------
+
+@pytest.mark.parametrize("m", [320, 322, 400, 2034])
+def test_legendre_rule_matches_recurrence_reference(m):
+    # 320 and 322 straddle the step of the node policy at n = 144; 2034 is n = 1000
+    x, w = _legendre_rule(m)
+    assert len(x) == m and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    sample = [0, 1, 2, m // 7, m // 3, m // 2 - 1, m - 1]
+    ref = legendre_rule_mp(m, sample)
+    x_ref = np.array([float(r[0]) for r in ref])
+    w_ref = np.array([float(r[1]) for r in ref])
+    assert np.max(np.abs(x[sample] - x_ref)) <= 2.3e-16
+    # the weights are no worse than those of numpy's eigenvalue-based rule
+    w_numpy = np.polynomial.legendre.leggauss(m)[1]
+    assert np.max(np.abs(w[sample] / w_ref - 1)) <= np.max(np.abs(w_numpy[sample] / w_ref - 1))
+    for j in range(21):
+        assert np.sum(w * x ** (2 * j)) == pytest.approx(2 / (2 * j + 1), abs=1e-14)
+
+
+def test_quadratures_do_not_import_scipy_linalg():
+    # scipy.special.roots_legendre imports scipy.linalg, tens of ms on every set-up
+    src = str(Path(pibilliards.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import math, sys\n"
+            "from pibilliards import berry_connection, theta_mean_quadrature\n"
+            "theta_mean_quadrature(40.0, 1, math.pi / 10, wave='outgoing')\n"
+            "berry_connection(1, 1.0)\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

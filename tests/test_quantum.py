@@ -276,7 +276,7 @@ def test_theta_mean_matches_quadrature_oracle():
 
 @pytest.mark.parametrize("n, beta, eta", [
     (300, BETA10, 0.3), (300, BETA10, 0.8), (300, 0.5, 0.3), (300, 0.5, 1.2),
-    (300, 1.2, 0.8), (300, 1.2, 1.2), (1000, 0.5, 0.8)])
+    (300, 1.2, 0.8), (300, 1.2, 1.2), (1000, 0.5, 0.8), (2000, 0.5, 0.8)])
 def test_theta_mean_quadrature_resolves_large_n(n, beta, eta):
     # beyond n = 143 the rule must grow: 320 nodes are off by 2e-4 to 6e-3 at n = 300
     rho = n * math.pi / beta / math.cos(eta)

@@ -24,12 +24,19 @@ def test_berry_connection_quadrature_tiny():
 
 
 @pytest.mark.parametrize("n, x", [(143, 1.0), (144, 0.7), (183, 1.7), (260, 1.0), (300, 0.7),
-                                  (300, 1.0), (300, 1.7), (1000, 1.0)])
+                                  (300, 1.0), (300, 1.7), (1000, 1.0), (2000, 1.0)])
 def test_berry_connection_resolves_large_n(n, x):
     # beyond n = 143 the rule must grow: 320 nodes give -1.38 at n = 200 and
     # 22.1 at n = 260.  n = 143 and 144 straddle the step from 320 nodes to
-    # 2(n + 1) + 32, and up to n = 183 that rule has fewer than 400 nodes
+    # 2(n + 1) + 32, and up to n = 183 that rule has fewer than 400 nodes.
+    # n = 2000 is the end of the checked range: at n = 3000 and x = 0.7 the
+    # value is 1.4e-10
     assert abs(berry_connection(n, x)) < 1e-10
+
+
+def test_berry_connection_takes_integral_float_n():
+    # n = 200.0 passes the quantum-number check, so the rule grows as for 200
+    assert berry_connection(200.0, 0.7) == berry_connection(200, 0.7)
 
 
 # -- speed law --------------------------------------------------------------------
