@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 import pibilliards
 from oracles import legendre_rule_mp
 from pibilliards import CurveSeries
 from pibilliards.cli import main
-from pibilliards.curves import _legendre_rule, format_sig
+from pibilliards.curves import _OUTER_NODES, _legendre_rule, format_sig
 
 # -0.0, subnormals, the ends of the double range, NaN and +-inf: to_csv
 # writes whatever it is given, and the CLI refuses non-finite values before it.
@@ -74,22 +77,44 @@ def test_to_json_rows_are_format_sig_read_back(sig, tmp_path):
 
 # -- Gauss-Legendre rule ----------------------------------------------------
 
-@pytest.mark.parametrize("m", [320, 322, 400, 2034])
+@pytest.mark.parametrize("m", [320, 322, 400, 2034, 6034])
 def test_legendre_rule_matches_recurrence_reference(m):
-    # 320 and 322 straddle the step of the node policy at n = 144; 2034 is n = 1000
+    # 320 and 322 straddle the step of the node policy at n = 144; 2034 is
+    # n = 1000 and 6034 is n = 3000, where numpy's dense rule needs hundreds of MB
     x, w = _legendre_rule(m)
     assert len(x) == m and np.all(np.diff(x) > 0)
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    sample = [0, 1, 2, m // 7, m // 3, m // 2 - 1, m - 1]
+    # _OUTER_NODES nodes at each end come from the recurrence, the rest from the series
+    k = _OUTER_NODES
+    if m <= 2034:
+        sample = [0, 1, k - 1, k, k + 1, m // 7, m // 3, m // 2 - 1, m - k - 1, m - k, m - 1]
+    else:
+        sample = [k, m // 3, m // 2 - 1, m - k - 1]
     ref = legendre_rule_mp(m, sample)
     x_ref = np.array([float(r[0]) for r in ref])
     w_ref = np.array([float(r[1]) for r in ref])
     assert np.max(np.abs(x[sample] - x_ref)) <= 2.3e-16
-    # the weights are no worse than those of numpy's eigenvalue-based rule
-    w_numpy = np.polynomial.legendre.leggauss(m)[1]
-    assert np.max(np.abs(w[sample] / w_ref - 1)) <= np.max(np.abs(w_numpy[sample] / w_ref - 1))
+    rel = np.abs(w[sample] / w_ref - 1)
+    outer = np.array([i < k or i >= m - k for i in sample])
+    assert np.max(rel[~outer]) <= 1e-14
+    if outer.any():
+        # at the ends the double node limits 1 - x^2, and so the weight, on
+        # both rules: no worse than numpy's eigenvalue-based rule there
+        w_numpy = np.polynomial.legendre.leggauss(m)[1]
+        assert np.max(rel[outer]) <= np.max(np.abs(w_numpy[sample] / w_ref - 1)[outer])
     for j in range(21):
         assert np.sum(w * x ** (2 * j)) == pytest.approx(2 / (2 * j + 1), abs=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(half=st.integers(160, 2017), data=st.data())
+def test_legendre_rule_is_orthogonal_to_legendre_polynomials(half, data):
+    # the rule integrates P_(2j) exactly for 2j < 2m, and the integral is 0;
+    # P_(2j) comes from scipy's recurrence, not from the interior series
+    m = 2 * half
+    j = data.draw(st.integers(1, m - 1), label="j")
+    x, w = _legendre_rule(m)
+    assert abs(np.sum(w * eval_legendre(2 * j, x))) <= 1e-13
 
 
 def test_quadratures_do_not_import_scipy_linalg():

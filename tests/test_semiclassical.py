@@ -23,14 +23,21 @@ def test_berry_connection_quadrature_tiny():
             assert abs(berry_connection(n, x)) < 1e-10
 
 
-@pytest.mark.parametrize("n, x", [(143, 1.0), (144, 0.7), (183, 1.7), (260, 1.0), (300, 0.7),
-                                  (300, 1.0), (300, 1.7), (1000, 1.0), (2000, 1.0)])
+@pytest.mark.parametrize("n, x", [
+    (143, 1.0), (144, 0.7), (183, 1.7), (260, 1.0), (300, 0.7), (300, 1.0), (300, 1.7),
+    (1000, 1.0), (2000, 1.0), (3000, 0.7), (3000, 1.0), (3000, 1.7),
+    pytest.param(10000, 0.7, marks=pytest.mark.xfail(strict=True, reason=(
+        "-7.7e-10: random half-ulp shifts of the nodes move the sum by 1.3e-9, "
+        "a relative 1e-15 on the weights by 6e-14")))])
 def test_berry_connection_resolves_large_n(n, x):
     # beyond n = 143 the rule must grow: 320 nodes give -1.38 at n = 200 and
     # 22.1 at n = 260.  n = 143 and 144 straddle the step from 320 nodes to
     # 2(n + 1) + 32, and up to n = 183 that rule has fewer than 400 nodes.
-    # n = 2000 is the end of the checked range: at n = 3000 and x = 0.7 the
-    # value is 1.4e-10
+    # n = 3000 is the end of the checked range.  There the value is set by
+    # the last bit of each node, not by the weights: the integrand is of
+    # size n and its phase n pi (t + 1)/2, so random half-ulp shifts of the
+    # nodes move the value at x = 1.0 by 6.7e-11 (one standard deviation).
+    # This rule gives 5.9e-11, 8.0e-11 and -6.9e-12 at x = 0.7, 1.0 and 1.7.
     assert abs(berry_connection(n, x)) < 1e-10
 
 
