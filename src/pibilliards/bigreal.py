@@ -77,8 +77,11 @@ class BigReal:
             raise ValueError("mixed-precision interval arithmetic")
 
     def round_to(self, bits: int) -> "BigReal":
-        """The enclosing interval at the coarser precision ``bits`` <= self.bits."""
+        """The enclosing interval at precision ``bits``: rounded outward when
+        coarser, and the same interval, by an exact left shift, when finer."""
         shift = self.bits - bits
+        if shift < 0:
+            return BigReal(self.lo << -shift, self.hi << -shift, bits)
         return BigReal(self.lo >> shift, _ceil_div(self.hi, 1 << shift), bits)
 
     # -- arithmetic ---------------------------------------------------------

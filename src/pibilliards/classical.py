@@ -33,6 +33,10 @@ from .curves import CurveSeries, _alpha_grid, _eta_grid, _format_int
 # Precision doublings allowed past the starting precision of each certified floor.
 _MAX_DOUBLINGS = 3
 
+# Bits by which beta's share of the width of pi/beta outweighs pi's, once pi
+# is computed short of the interval's precision and widened (see _ratio_lift).
+_LIFT_GUARD_BITS = 8
+
 # Absolute window inside which pi/beta is treated as an exact integer tie.
 _TIE_ABS_TOL = 1e-9
 
@@ -160,12 +164,20 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     return CollisionTrace(params, initial, tuple(events), len(events), drift)
 
 
-def _certify(start: int, intervals, failure: str) -> tuple[list[int], int]:
+def _certify(start: int, intervals, failure: str, lift: int = 0) -> tuple[list[int], int]:
     """The certified floors of ``intervals(pi)``, with pi the BigReal at
     ``start`` bits doubled at most ``_MAX_DOUBLINGS`` times, and the bits that
-    certified them all; else IndeterminateFloorError says ``failure``."""
+    certified them all; else IndeterminateFloorError says ``failure``.
+
+    At each precision b, pi is computed at b - ``lift`` bits and widened to b
+    by an exact left shift (:meth:`BigReal.round_to`): the interval encloses
+    the same reals, 2^(lift + 1) units of 2^-b wide.  A lift is chosen where
+    the intervals need pi to fewer bits than they are formed at
+    (:func:`_ratio_lift`); 0 computes pi at b itself.
+    """
     for bits in (start << i for i in range(_MAX_DOUBLINGS + 1)):
-        floors = [interval.floor_certified() for interval in intervals(BigReal.pi(bits))]
+        pi = BigReal.pi(bits - lift).round_to(bits)
+        floors = [interval.floor_certified() for interval in intervals(pi)]
         if None not in floors:
             return floors, bits
     raise IndeterminateFloorError(f"{failure} within {bits} bits")
@@ -229,6 +241,21 @@ def _ratio_start(ratio: Fraction) -> int:
     return 64 + abs(ratio.numerator.bit_length() - ratio.denominator.bit_length())
 
 
+def _ratio_lift(ratio: Fraction) -> int:
+    """The bits pi may lack at the start of a certified count at M/m = p/q:
+    max((bit_length(p) - bit_length(q)) // 2 - _LIFT_GUARD_BITS, 0).
+
+    Above 1, beta is about sqrt(q/p), and an error of u in beta moves pi/beta
+    by about pi u p/q, while an error of u in pi moves it by only u sqrt(p/q).
+    So pi computed lift bits short and widened, 2^(lift + 1) units wide, adds
+    less than 2^-_LIFT_GUARD_BITS of the width that beta's units give
+    pi/beta, and pi * 10**N at M/m = 100**N stays about 2^-71 wide.  Below 1, beta is O(1)
+    and pi needs every bit: the lift is 0.
+    """
+    lift = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // 2
+    return max(lift - _LIFT_GUARD_BITS, 0)
+
+
 def count_certified(ratio: float | Fraction) -> int:
     """Collision count floor(pi/beta) at the mass ratio M/m = ``ratio``, certified.
 
@@ -237,13 +264,15 @@ def count_certified(ratio: float | Fraction) -> int:
     from b = 64 bits plus about |log2(ratio)| (:func:`_ratio_start`, the start
     ``digits`` shares): above 1, pi/beta grows like pi sqrt(ratio) while
     beta's relative error grows like sqrt(ratio) 2^-b; below 1, pi/beta
-    exceeds 2 by only about (4/pi) sqrt(ratio).
+    exceeds 2 by only about (4/pi) sqrt(ratio).  pi itself is computed
+    :func:`_ratio_lift` bits short of b, so at about b/2 + 40 bits for large
+    ratios and at b below 1, and widened to b exactly.
     """
     _check_positive("mass ratio", ratio)
     exact = Fraction(ratio)
     (count,), _ = _certify(
         _ratio_start(exact), lambda pi: (_pi_over_beta(pi, exact),),
-        f"collision count not certified for M/m = {ratio!r}")
+        f"collision count not certified for M/m = {ratio!r}", _ratio_lift(exact))
     return count
 
 
@@ -288,7 +317,11 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     The start is route (a)'s own, :func:`_ratio_start` at 100**N:
     b = 64 + floor(log2 100**N) bits.  There route (a)'s interval pi/beta is
     about 2 pi 10**(2N) 2^-b <~ 2^-60 wide, and route (b)'s interval
-    pi * 10**N is narrower still, by a factor of about 10**N.  So a floor
+    pi * 10**N is narrower still.  pi is needed to only about
+    64 + log2 10**N of those bits, so the shared pi is computed
+    :func:`_ratio_lift` = max(floor(log2 10**N) - 8, 0) bits short of b and
+    widened to b by an exact shift: route (a)'s width grows by under 2^-8
+    of itself, and route (b)'s interval is about 2^-71 wide.  So a floor
     fails only when its value lies within about 2^-60 of an integer, and
     only then does the doubling loop take over.
     """
@@ -299,7 +332,7 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     ratio = Fraction(100 ** digits)
     (scaled_floor, count), bits = _certify(
         _ratio_start(ratio), lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
-        f"floor not certified for N={digits}")
+        f"floor not certified for N={digits}", _ratio_lift(ratio))
     if scaled_floor != oracle:
         raise PiDigitsMismatchError(
             f"certified interval floor {_format_int(scaled_floor)} disagrees "

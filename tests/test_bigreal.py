@@ -124,6 +124,21 @@ def test_pi_contains_reference_and_overlaps_machin(bits):
     assert iv.hi - iv.lo <= 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(64, 3000).flatmap(
+    lambda bits: st.tuples(st.just(bits), st.integers(0, bits - 64))))
+@example((64, 0))
+@example((3000, 2936))
+def test_pi_widened_by_a_shift_contains_machin(bits_lift):
+    # a certified count computes pi at bits - lift and shifts it up to bits:
+    # the interval must hold pi, proven by Machin's interval 64 bits finer
+    # inside it
+    bits, lift = bits_lift
+    widened = BigReal.pi(bits - lift).round_to(bits)
+    assert widened.bits == bits and widened.hi - widened.lo == 2 ** (lift + 1)
+    assert _contains(widened, machin_pi(bits + 64))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 1 << 80), st.integers(1, 1 << 80), st.integers(2, 300))
 @example(1, 1 << 80, 2)  # the series' lower endpoint falls below 0 before clamping

@@ -15,7 +15,7 @@ from pibilliards import (BilliardParams, CollisionKind, DomainError,
                          classical_curve, classical_eta_curve,
                          count_certified, count_closed_form, pi_digits,
                          pi_digits_detail, simulate)
-from pibilliards import classical
+from pibilliards import bigreal, classical
 from pibilliards.bigreal import BigReal
 from pibilliards.cli import main
 
@@ -267,6 +267,35 @@ def test_pi_digits_certify_at_the_count_start():
     # at once; a doubling would cost about 4 times the time
     for n in range(301):
         assert pi_digits_detail(n).bits == 64 + (100 ** n).bit_length() - 1
+    rng = np.random.default_rng(300)
+    for n in sorted(int(k) for k in rng.integers(301, 3001, 20)):
+        detail = pi_digits_detail(n)
+        assert detail.bits == classical._ratio_start(Fraction(100 ** n))
+        assert detail.collision_count == detail.pi_floor == detail.value
+
+
+def test_pi_computed_at_the_lifted_precision(monkeypatch):
+    # pi * 10**N and pi/beta need pi only to about 64 + log2 10**N bits: pi
+    # is computed lift = 3321 - 8 bits short of the 6707 and shifted up
+    calls, pi = [], BigReal.pi
+    monkeypatch.setattr(BigReal, "pi",
+                        classmethod(lambda cls, bits: calls.append(bits) or pi(bits)))
+    assert pi_digits_detail(1000).bits == 6707
+    assert calls == [6707 - 3313]
+    # below 1, beta is O(1) and pi needs every bit of the start; the arctan's
+    # reduction pi/2 - arctan(1/x) takes pi at the start plus its guard bits
+    calls.clear()
+    start = classical._ratio_start(Fraction(1e-300))
+    assert count_certified(1e-300) == 2
+    assert calls == [start, start + bigreal._GUARD_BITS]
+
+
+def test_certified_count_matches_mpmath_floor_at_any_scale():
+    # the lift runs from 0 below M/m = 2^17 to 490 bits at 1e300, where
+    # pi/beta is 3e150, so the reference floor needs over 150 digits
+    ratios = 10.0 ** np.random.default_rng(22).uniform(-300.0, 300.0, 30)
+    for ratio in [1e-300, 1e300, *ratios]:
+        assert count_certified(float(ratio)) == count_floor_mp(float(ratio), dps=200)
 
 
 def test_pi_digits_rejects_negative():
