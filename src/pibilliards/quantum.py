@@ -68,19 +68,19 @@ def cyl_y(nu, x):
 
 
 def cylinder(nu: float, x: float) -> CylinderValue:
-    """J and Y, from one :func:`hankel1` call, with an accuracy certificate.
+    """J and Y from :func:`hankel1`, with an accuracy certificate.
 
     The certificate is the scaled residual of the Wronskian identity
-    J Y' - J' Y = 2/(pi x), an identity the evaluation does not enforce, so
-    its failure exposes evaluation error.  Raises if the contract tolerance
-    cannot be certified.
+    J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi x) (DLMF 10.5.2), with the order
+    nu + 1 from a second :func:`hankel1` call: an identity the evaluation
+    does not enforce, so its failure exposes evaluation error.  Raises if
+    the contract tolerance cannot be certified.
     """
-    h = hankel1(nu, x)
-    j, y = np.real(h), np.imag(h)
-    jp, yp = _sp.jvp(nu, x), _sp.yvp(nu, x)
-    if not all(map(math.isfinite, (j, y, jp, yp))):
+    h, h1 = hankel1(nu, x), hankel1(nu + 1.0, x)
+    j, y, j1, y1 = np.real(h), np.imag(h), np.real(h1), np.imag(h1)
+    if not all(map(math.isfinite, (j, y, j1, y1))):
         raise CylinderPrecisionError(f"non-finite cylinder values at nu={nu}, x={x}")
-    residual = abs(j * yp - jp * y - 2.0 / (math.pi * x)) * math.pi * x / 2.0
+    residual = abs(j1 * y - j * y1 - 2.0 / (math.pi * x)) * math.pi * x / 2.0
     bound = max(4.0 * residual, 1e-13)
     if bound > CYLINDER_TOLERANCE:
         raise CylinderPrecisionError(
@@ -92,8 +92,7 @@ def cylinder(nu: float, x: float) -> CylinderValue:
 def hankel1(nu, x):
     """H(1) = J + iY (incident radial wave) for real order nu >= 0 and x > 0;
     its conjugate is the outgoing wave.  Every Y is taken here, and J from
-    :func:`cyl_j`, which checks the order and argument; only the derivatives
-    J' and Y' in :func:`cylinder` come from scipy directly.
+    :func:`cyl_j`, which checks the order and argument.
 
     J is ``scipy.special.jv``.  Y is taken as Im H1: AMOS builds Y from the
     Hankel pair, so ``yv`` computes both H1 and H2 where ``hankel1`` computes

@@ -290,6 +290,18 @@ def test_pi_computed_at_the_lifted_precision(monkeypatch):
     assert calls == [start, start + bigreal._GUARD_BITS]
 
 
+def test_mpmath_floor_evaluated_at_one_precision(monkeypatch):
+    # the mpmath floor is a cross-check, not the certificate: one pi at
+    # N + 30 digits is enough, and a second pi would dominate a fresh run
+    precisions, workdps = [], mpmath.mp.workdps
+    monkeypatch.setattr(mpmath.mp, "workdps",
+                        lambda dps: precisions.append(dps) or workdps(dps))
+    for n in (0, 8, 1000):
+        precisions.clear()
+        pi_digits_detail(n)
+        assert precisions == [n + 30]
+
+
 def test_certified_count_matches_mpmath_floor_at_any_scale():
     # the lift runs from 0 below M/m = 2^17 to 490 bits at 1e300, where
     # pi/beta is 3e150, so the reference floor needs over 150 digits

@@ -340,6 +340,15 @@ def test_certificate_route_disagreement_exit_3(argv, monkeypatch, capsys):
     assert err.startswith("pibilliards: ") and err.count("\n") == 1
 
 
+def test_mpmath_floor_disagreement_exit_3(monkeypatch, capsys):
+    # a wrong mpmath pi reaches the cross-check inside _pi_floor_independent
+    monkeypatch.setattr(mpmath.mp, "pi", mpmath.mpf("3.1425"))
+    code, out, err = run_cli(["digits", "--N", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "disagrees with the mpmath floor 3142" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--mass-ratio", "inf"],
     ["simulate", "--N", "1", "--x0", "inf"],

@@ -94,6 +94,27 @@ def test_cylinder_certificate():
     assert val2.err_bound <= 1e-10
 
 
+def test_cylinder_certified_on_hankel1_alone(monkeypatch):
+    # the certificate is the recurrence Wronskian J_{nu+1} Y_nu - J_nu Y_{nu+1}
+    # = 2/(pi x): no derivative is evaluated
+    from scipy import special
+    from scipy.special import jv, yv
+
+    def no_derivative(*_):
+        raise AssertionError("cylinder evaluated a derivative")
+    monkeypatch.setattr(special, "jvp", no_derivative)
+    monkeypatch.setattr(special, "yvp", no_derivative)
+    # criterion 7's worst point, where the residual sets the bound
+    order = 10 * math.pi / BETA10
+    x = order / math.cos(1.5)
+    r = abs(jv(order + 1, x) * yv(order, x) - jv(order, x) * yv(order + 1, x)
+            - 2 / (math.pi * x)) * math.pi * x / 2
+    assert 4 * r > 1e-13
+    value = cylinder(order, x)
+    assert value.err_bound == max(4 * r, 1e-13)
+    assert value.j == jv(order, x) and value.y == yv(order, x)
+
+
 def test_cyl_j_evaluates_no_y(monkeypatch):
     # J is jv alone: through H1, cyl_j(1e8, 1e17) took about 1 s in yv
     from scipy import special
