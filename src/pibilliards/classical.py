@@ -110,7 +110,7 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     times and positions are tracked in floats for the trace.  Each velocity
     float is within an ulp of its exact rational, converted once per change
     of that velocity.  Raises FloatingPointError when the initial kinetic
-    energy underflows to 0, since the relative energy drift is then undefined.
+    energy underflows to 0 or overflows: the relative drift is then undefined.
     """
     _check_positive("v0, x0 and y0", (v0, x0, y0))
     if not x0 > y0:
@@ -124,9 +124,13 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
 
     t, x, y, vx, vy = 0.0, float(x0), float(y0), -float(v0), 0.0
     initial = ClassicalState(t, x, y, vx, vy)
-    e0 = initial.kinetic_energy(params)
-    if e0 == 0.0:
-        raise FloatingPointError("initial kinetic energy underflows to 0 in double precision")
+    try:
+        e0 = initial.kinetic_energy(params)
+    except OverflowError:  # a float ** raises past |v| ~ 1.34e154, where * gives inf
+        e0 = math.inf
+    if not 0.0 < e0 < math.inf:
+        flow = "underflows to 0" if e0 == 0.0 else "overflows"
+        raise FloatingPointError(f"initial kinetic energy {flow} in double precision")
 
     guard = 10 * math.ceil(math.pi / params.wedge_angle)
     events = []
@@ -221,12 +225,9 @@ def count_closed_form(beta: float) -> int:
     and the window 1e-9 are taken as the exact rationals the doubles hold, and
     the floor of the interval pi/beta - 1e-9 is certified from 64 bits plus
     the bit length of beta's denominator; at that start the interval is
-    narrower than about 2^-60.  Raises OverflowError where pi/beta overflows
-    a double.
+    narrower than about 2^-60.
     """
     _check_beta(beta)
-    if math.pi / beta == math.inf:
-        raise OverflowError(f"pi/beta overflows a double at beta = {beta!r}")
     exact, window = Fraction(beta), Fraction(_TIE_ABS_TOL)
     (count,), _ = _certify(
         64 + exact.denominator.bit_length(),

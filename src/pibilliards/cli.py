@@ -160,7 +160,7 @@ def _cmd_simulate(args) -> int:
     params = _geometry_params(args)
     trace = simulate(params, args.v0, args.x0, args.y0)
     parameters = {**_geometry_provenance(args), "M": params.M, "m": params.m,
-                  "hbar": params.hbar, "v0": args.v0, "x0": args.x0, "y0": args.y0}
+                  "v0": args.v0, "x0": args.x0, "y0": args.y0}
     printed = (str(trace.count),)
     if args.trace is None:
         return _finish(args, parameters, stdout=printed)
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--mass-ratio", type=float, help="mass ratio M/m")
             group.add_argument("--N", type=int, help="decade exponent: M/m = 100**N")
             if params_file:
-                group.add_argument("--params", type=Path,
-                                   help='JSON file {"M": ..., "m": ..., "hbar": ...}')
+                group.add_argument("--params", type=Path, help='JSON file {"M": ..., "m": ...}')
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         if floats:

@@ -59,19 +59,13 @@ def _turning_ratio(outer: float, inner: float, name: str, turning: str) -> float
 
 @dataclass(frozen=True)
 class BilliardParams:
-    """Masses of the two balls and the unit of action.
-
-    M is the heavy (incoming) ball, m the light ball trapped against the
-    wall.  hbar is checked and recorded in the provenance of ``simulate``,
-    but no computation reads it; the default 1.0 gives natural units.
-    """
+    """Masses M (heavy, incoming ball) and m (light ball at the wall), in natural units."""
 
     M: float = 1.0
     m: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        _check_positive("M, m and hbar", (self.M, self.m, self.hbar))
+        _check_positive("M and m", (self.M, self.m))
 
     @property
     def mass_ratio_root(self) -> float:
@@ -85,13 +79,13 @@ class BilliardParams:
 
     @classmethod
     def from_mass_ratio(cls, ratio: float) -> "BilliardParams":
-        """Parameters with M/m = ``ratio``, m = 1 and hbar = 1."""
+        """Parameters with M/m = ``ratio`` and m = 1."""
         _check_positive("mass ratio", ratio)
         return cls(M=ratio)
 
     @classmethod
     def from_beta(cls, beta: float) -> "BilliardParams":
-        """Parameters whose wedge angle is ``beta`` (0 < beta < pi/2), m = 1 and hbar = 1."""
+        """Parameters whose wedge angle is ``beta`` (0 < beta < pi/2) and m = 1."""
         # open at pi/2: M = 0 there, but 1/tan(pi/2) is 6e-17 in floats, not 0
         if not 0.0 < beta < math.pi / 2:
             raise DomainError("beta must lie in (0, pi/2) to define finite masses")
@@ -100,12 +94,12 @@ class BilliardParams:
 
     @classmethod
     def from_json(cls, text: str) -> "BilliardParams":
-        """Parse ``{"M": number, "m": number, "hbar": number}``; all keys
-        optional, and each value a JSON number (not a bool or a string)."""
+        """Parse ``{"M": number, "m": number}``; both keys optional, and each
+        value a JSON number (not a bool or a string)."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DomainError("parameter JSON must be an object")
-        unknown = set(data) - {"M", "m", "hbar"}
+        unknown = set(data) - {"M", "m"}
         if unknown:
             raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
         values = {}

@@ -15,7 +15,10 @@ heavy ball's speed follows from energy conservation, the speed law
 so it vanishes at the minimum width x_min and rises toward its limit as the
 well widens.  That normalization is the one under which the accumulated Bohr
 phase integrates to the closed form used throughout this module; the test
-suite cross-checks it against direct numerical integration.
+suite cross-checks it against direct numerical integration.  Units are
+natural, hbar = 1, and the Bohr phase is independent of hbar: the Bohr
+frequency (E_{n+1} - E_n)/hbar and the speed from the speed law are both
+proportional to hbar, so their ratio carries none.
 """
 
 from __future__ import annotations

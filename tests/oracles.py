@@ -5,7 +5,8 @@ high-precision power series and from quadrature of the integral
 representation (not from scipy); the accumulated Bohr phase comes from an
 adaptive ODE integration of the Bohr frequency over the heavy-ball speed
 ``big_ball_speed`` of the speed law, whose limit is ``asymptotic_speed`` (not
-from the closed form);
+from the closed form), each at a given unit of action ``hbar`` (the library
+has none: its units are natural, hbar = 1);
 mean angles come from adaptive quadrature (not from Gauss-Legendre), the
 incident one also from mpmath's Hankel functions at 40 digits (not from scipy,
 and with no overflow to scale away), and the outgoing one also from the
@@ -108,37 +109,37 @@ def bessel_j_integral(nu: float, x: float) -> float:
         return float((osc - tail) / mpmath.pi)
 
 
-def asymptotic_speed(cfg: SemiclassicalConfig) -> float:
+def asymptotic_speed(cfg: SemiclassicalConfig, hbar: float = 1.0) -> float:
     """Heavy-ball speed limit as the well width grows without bound."""
     n, p = cfg.n, cfg.params
-    return (math.pi * p.hbar / cfg.x_min) * \
+    return (math.pi * hbar / cfg.x_min) * \
         math.sqrt((2 * n * n + 2 * n + 1) / (2.0 * p.M * p.m))
 
 
-def big_ball_speed(x: float, cfg: SemiclassicalConfig) -> float:
-    """Heavy-ball speed at well width x >= x_min.
+def big_ball_speed(x: float, cfg: SemiclassicalConfig, hbar: float = 1.0) -> float:
+    """Heavy-ball speed at well width x >= x_min, for the unit of action ``hbar``.
 
     Vanishes at the retracing point and rises monotonically toward
     :func:`asymptotic_speed`; satisfies the speed law
     M v^2 / 2 + (E_n(x) + E_{n+1}(x))/2 = (E_n + E_{n+1})(x_min)/2.
     """
     ratio = _turning_ratio(x, cfg.x_min, "x", "the retracing point x_min")
-    return asymptotic_speed(cfg) * math.sqrt(max(0.0, 1.0 - ratio * ratio))
+    return asymptotic_speed(cfg, hbar) * math.sqrt(max(0.0, 1.0 - ratio * ratio))
 
 
-def ode_phase_integral(cfg: SemiclassicalConfig, x_upper: float) -> float:
+def ode_phase_integral(cfg: SemiclassicalConfig, x_upper: float, hbar: float = 1.0) -> float:
     """int_{x_min}^{x_upper} (E_{n+1} - E_n)/(hbar v(x)) dx by adaptive ODE
     integration, with the integrable sqrt singularity at the turning point
     handled by a small analytic first step."""
     p = cfg.params
-    bohr_num = (2 * cfg.n + 1) * math.pi ** 2 * p.hbar / (2.0 * p.m)
+    bohr_num = (2 * cfg.n + 1) * math.pi ** 2 * hbar / (2.0 * p.m)
     eps = 1e-8
     x0 = cfg.x_min * (1.0 + eps)
     # leading contribution of the (x - x_min)^(-1/2) singularity over [x_min, x0]
-    local = bohr_num * math.sqrt(2.0 * eps) / (cfg.x_min * asymptotic_speed(cfg))
+    local = bohr_num * math.sqrt(2.0 * eps) / (cfg.x_min * asymptotic_speed(cfg, hbar))
 
     def rhs(x, _):
-        return bohr_num / (x * x * big_ball_speed(x, cfg))
+        return bohr_num / (x * x * big_ball_speed(x, cfg, hbar))
 
     sol = integrate.solve_ivp(rhs, (x0, x_upper), [local], method="DOP853",
                               rtol=1e-11, atol=1e-14)
@@ -147,13 +148,13 @@ def ode_phase_integral(cfg: SemiclassicalConfig, x_upper: float) -> float:
     return float(sol.y[0, -1])
 
 
-def ode_half_trip_phase(cfg: SemiclassicalConfig) -> float:
+def ode_half_trip_phase(cfg: SemiclassicalConfig, hbar: float = 1.0) -> float:
     """Phase accumulated from the turning point out to infinite width."""
     x_upper = 1e6 * cfg.x_min
-    base = ode_phase_integral(cfg, x_upper)
+    base = ode_phase_integral(cfg, x_upper, hbar)
     p = cfg.params
-    bohr_num = (2 * cfg.n + 1) * math.pi ** 2 * p.hbar / (2.0 * p.m)
-    tail = bohr_num / (asymptotic_speed(cfg) * x_upper)
+    bohr_num = (2 * cfg.n + 1) * math.pi ** 2 * hbar / (2.0 * p.m)
+    tail = bohr_num / (asymptotic_speed(cfg, hbar) * x_upper)
     return base + tail
 
 

@@ -138,12 +138,16 @@ def test_closed_form_integer_tie_rule():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.floats(-300.0, 0.19).map(lambda e: 10.0 ** e),
+@given(st.one_of(st.floats(-323.0, 0.19).map(lambda e: 10.0 ** e),
                  st.integers(2, 10 ** 12).map(lambda k: math.pi / k)))
 @example(1e-17)
+@example(1e-320)
+@example(5e-324)
 def test_closed_form_matches_mpmath_floor(beta):
     # from pi/beta ~ 1e7 on, the double pi/beta can miss this floor: at 1e-17
-    # it gives 314159265358979263 where the floor is ...301
+    # it gives 314159265358979263 where the floor is ...301.  Below about
+    # 1.75e-308 (subnormal beta) the double pi/beta overflows, and the
+    # interval still certifies the floor
     assert count_closed_form(beta) == closed_form_floor_mp(beta)
 
 

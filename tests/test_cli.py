@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pibilliards
+from oracles import closed_form_floor_mp
 from pibilliards import BilliardParams, cli, hankel1, quantum, simulate
 from pibilliards.cli import main
 from pibilliards.curves import format_sig
@@ -185,6 +186,14 @@ def test_simulate_params_file(tmp_path, capsys):
     assert code == 0
     assert int(out) == 9  # pi/arccot(3) = 9.76
 
+
+def test_simulate_manifest_parameters(tmp_path, capsys):
+    # the geometry flags, the two masses and the start: no unit of action
+    code, _, _ = run_cli(["simulate", "--N", "1", "--manifest", str(tmp_path / "m.json")],
+                         capsys)
+    assert code == 0
+    parameters = json.loads((tmp_path / "m.json").read_text())["parameters"]
+    assert set(parameters) == {"M", "m", "N", "beta", "mass_ratio", "v0", "x0", "y0"}
 
 
 def test_semiclassical_curve_csv(tmp_path, capsys):
@@ -380,7 +389,7 @@ def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("argv", [
     ["quantum", "--beta", "0.3", "--samples", "16"],  # with a NaN mean angle
     ["phaseshift", "--beta", "1e-320"],
-    ["count", "--beta", "1e-320"],
+    ["simulate", "--mass-ratio", "100", "--v0", "1e154"],  # initial energy overflows
     ["simulate", "--N", "1", "--v0", "1e200"],
     ["simulate", "--N", "1", "--v0", "1e-300"],  # initial energy underflows to 0
 ])
@@ -396,6 +405,30 @@ def test_nonfinite_output_exit_3(argv, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("pibilliards: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_count_beta_where_pi_over_beta_overflows(capsys):
+    # pi/beta overflows a double below beta ~ 1.75e-308; the interval does not
+    code, out, _ = run_cli(["count", "--beta", "1e-320"], capsys)
+    assert code == 0
+    assert out == f"{closed_form_floor_mp(1e-320)}\n"
+    assert len(out) == 322
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "1", "--v0", "1e200"],
+    ["--mass-ratio", "100", "--v0", "1e154"],  # v0**2 raises past |v0| ~ 1.34e154
+    ["--params", "huge.json", "--v0", "1e60", "--trace", "t.csv"],  # M v0^2 is inf
+])
+def test_simulate_initial_energy_overflow_exit_3(argv, tmp_path, monkeypatch, capsys):
+    # the relative drift |E - e0|/e0 is NaN for e0 = inf: nothing is printed or
+    # written, where the trace run used to record a drift of 0.0 with exit 0
+    monkeypatch.chdir(tmp_path)
+    Path("huge.json").write_text('{"M": 1e200, "m": 1e198}')
+    code, out, err = run_cli(["simulate", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert err == "pibilliards: initial kinetic energy overflows in double precision\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
 
 
 def test_quantum_far_radius_missing_y_exit_3(tmp_path, capsys):
@@ -459,6 +492,8 @@ def test_calls_in_one_process_do_not_leak(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ('{"masses": [1, 2]}', "unknown parameter"),
+    # the units are natural: hbar is no parameter, and naming it is an error
+    ('{"hbar": 0.5}', "unknown parameter keys"),
     # a value that is not a JSON number is refused, not coerced or crashed on
     ('{"M": null}', "JSON number"),
     ('{"M": [1]}', "JSON number"),
@@ -467,7 +502,7 @@ def test_calls_in_one_process_do_not_leak(tmp_path, monkeypatch, capsys):
     # out of the double range: an integer overflows float(), a float parses as inf
     ('{"M": 1' + '0' * 400 + '}', "beyond the double range"),
     ('{"M": 1e400}', "positive and finite"),
-], ids=["unknown-key", "null", "list", "bool", "string", "huge-int", "huge-float"])
+], ids=["unknown-key", "hbar", "null", "list", "bool", "string", "huge-int", "huge-float"])
 def test_bad_params_file_exit_code(text, message, tmp_path, capsys):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -109,8 +110,6 @@ def test_params_validation_and_derived():
         with pytest.raises(DomainError):
             BilliardParams(M=bad)
         with pytest.raises(DomainError):
-            BilliardParams(hbar=bad)
-        with pytest.raises(DomainError):
             BilliardParams.from_mass_ratio(bad)
     p = BilliardParams(M=100.0, m=1.0)
     assert p.mass_ratio_root == pytest.approx(10.0)
@@ -125,11 +124,14 @@ def test_params_from_beta_round_trip():
 
 
 def test_params_json_schema():
-    assert BilliardParams.from_json("{}") == BilliardParams(1.0, 1.0, 1.0)
-    p = BilliardParams.from_json('{"M": 4.0, "m": 2.0, "hbar": 0.5}')
-    assert (p.M, p.m, p.hbar) == (4.0, 2.0, 0.5)
-    with pytest.raises(DomainError):
-        BilliardParams.from_json('{"mass": 3}')
+    # the parameters are the two masses: the units are natural (hbar = 1)
+    assert [f.name for f in fields(BilliardParams)] == ["M", "m"]
+    assert BilliardParams.from_json("{}") == BilliardParams(1.0, 1.0)
+    p = BilliardParams.from_json('{"M": 4.0, "m": 2.0}')
+    assert (p.M, p.m) == (4.0, 2.0)
+    for unknown in ('{"mass": 3}', '{"hbar": 0.5}'):
+        with pytest.raises(DomainError, match="unknown parameter keys"):
+            BilliardParams.from_json(unknown)
     with pytest.raises(DomainError):
         BilliardParams.from_json('[1, 2]')
 

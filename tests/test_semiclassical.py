@@ -79,10 +79,10 @@ def test_speed_domain():
 
 def test_energy_bookkeeping():
     # M v(x)^2 / 2 + mean two-level energy(x) = mean two-level energy(x_min),
-    # with the well levels E_n(x) = (n pi hbar)^2 / (2 m x^2)
+    # with the well levels E_n(x) = (n pi hbar)^2 / (2 m x^2), hbar = 1
     def two_level_energy(x, cfg):
         p = cfg.params
-        return 0.5 * sum((k * math.pi * p.hbar) ** 2 / (2.0 * p.m * x * x)
+        return 0.5 * sum((k * math.pi) ** 2 / (2.0 * p.m * x * x)
                          for k in (cfg.n, cfg.n + 1))
 
     for n, rr, xm in [(1, 10.0, 1.0), (4, 3.08, 0.5), (10, 100.0, 2.0)]:
@@ -136,6 +136,16 @@ def test_phase_matches_ode_oracle():
                     pytest.approx(half_ode - run, rel=1e-6)
                 assert accumulated_phase(x, cfg, +1) == \
                     pytest.approx(half_ode + run, rel=1e-6)
+
+
+def test_bohr_phase_is_independent_of_hbar():
+    # the Bohr frequency (E_{n+1} - E_n)/hbar and the heavy ball's speed both
+    # scale as hbar, so their ratio, the phase, has no hbar to carry
+    for n, rr in [(1, 10.0), (4, 3.08)]:
+        cfg = cfg_for(n, rr)
+        for hbar in (0.5, 2.0):
+            assert ode_half_trip_phase(cfg, hbar) == \
+                pytest.approx(total_phase(cfg) / 2, rel=1e-6)
 
 
 def test_total_phase_independent_of_x_min():
