@@ -93,10 +93,13 @@ class CollisionTrace:
 
 
 def _int_ratio_float(num: int, den: int) -> float:
-    """num/den for den > 0 as a float within an ulp: each operand is cut to
-    its own top 64 bits, and the power of two they drop is restored."""
+    """num/den for den > 0 as a float within an ulp, +-inf beyond the double range:
+    each operand is cut to its own top 64 bits, and the power of two they drop is restored."""
     a, b = max(num.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
-    return math.ldexp((num >> a) / (den >> b), a - b)
+    try:
+        return math.ldexp((num >> a) / (den >> b), a - b)
+    except OverflowError:  # copysign(inf, num) would raise on a huge num
+        return math.inf if num > 0 else -math.inf
 
 
 def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> CollisionTrace:
@@ -109,8 +112,11 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     the final count carry no rounding ambiguity at any mass ratio; event
     times and positions are tracked in floats for the trace.  Each velocity
     float is within an ulp of its exact rational, converted once per change
-    of that velocity.  Raises FloatingPointError when the initial kinetic
-    energy underflows to 0 or overflows: the relative drift is then undefined.
+    of that velocity, or +-inf or 0 beyond the double range; the loop branches
+    on the exact integers alone, so for finite input it raises only DomainError
+    and SimulationConsistencyError.  The drift is the largest |E/E0 - 1|, as
+    |(vx/v0)^2 + (vy/v0 / (sqrt(M)/sqrt(m)))^2 - 1| with operands of order 1;
+    sqrt(M)/sqrt(m) >= 1.7e-316 is inf only where ``params.wedge_angle`` refuses M/m.
     """
     _check_positive("v0, x0 and y0", (v0, x0, y0))
     if not x0 > y0:
@@ -124,21 +130,14 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
 
     t, x, y, vx, vy = 0.0, float(x0), float(y0), -float(v0), 0.0
     initial = ClassicalState(t, x, y, vx, vy)
-    try:
-        e0 = initial.kinetic_energy(params)
-    except OverflowError:  # a float ** raises past |v| ~ 1.34e154, where * gives inf
-        e0 = math.inf
-    if not 0.0 < e0 < math.inf:
-        flow = "underflows to 0" if e0 == 0.0 else "overflows"
-        raise FloatingPointError(f"initial kinetic energy {flow} in double precision")
-
+    root = math.sqrt(params.M) / math.sqrt(params.m)
     guard = 10 * math.ceil(math.pi / params.wedge_angle)
-    events = []
-    drift = 0.0
+    events, drift = [], 0.0
     while True:
         if py > px:
             # balls approaching: elastic ball-ball exchange
-            dt = (x - y) / _int_ratio_float(py - px, q)
+            closing = _int_ratio_float(py - px, q)  # 0 only where it underflows
+            dt = (x - y) / closing if closing else math.inf
             t += dt
             x += vx * dt
             y = x
@@ -149,7 +148,7 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
             kind = CollisionKind.BALL_BALL
         elif py < 0:
             # light ball reaches the wall and reflects
-            dt = y / -vy
+            dt = y / -vy if vy else math.inf
             t += dt
             x += vx * dt
             y = 0.0
@@ -160,7 +159,7 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
             break
         state = ClassicalState(t, x, y, vx, vy)
         events.append(CollisionEvent(len(events) + 1, kind, t, state))
-        drift = max(drift, abs(state.kinetic_energy(params) - e0) / e0)
+        drift = max(drift, abs((vx / v0) ** 2 + (vy / v0 / root) ** 2 - 1.0))
         if len(events) > guard:
             raise SimulationConsistencyError(
                 f"collision count exceeded {guard}; finiteness guarantee violated")
@@ -168,10 +167,11 @@ def simulate(params: BilliardParams, v0: float, x0: float, y0: float) -> Collisi
     return CollisionTrace(params, initial, tuple(events), len(events), drift)
 
 
-def _certify(start: int, intervals, failure: str, lift: int = 0) -> tuple[list[int], int]:
+def _certify(start: int, intervals, failure, lift: int = 0) -> tuple[list[int], int]:
     """The certified floors of ``intervals(pi)``, with pi the BigReal at
     ``start`` bits doubled at most ``_MAX_DOUBLINGS`` times, and the bits that
-    certified them all; else IndeterminateFloorError says ``failure``.
+    certified them all; else IndeterminateFloorError says ``failure()``, a
+    message built only then.
 
     At each precision b, pi is computed at b - ``lift`` bits and widened to b
     by an exact left shift (:meth:`BigReal.round_to`): the interval encloses
@@ -184,7 +184,7 @@ def _certify(start: int, intervals, failure: str, lift: int = 0) -> tuple[list[i
         floors = [interval.floor_certified() for interval in intervals(pi)]
         if None not in floors:
             return floors, bits
-    raise IndeterminateFloorError(f"{failure} within {bits} bits")
+    raise IndeterminateFloorError(f"{failure()} within {bits} bits")
 
 
 def _enclose(x: Fraction, bits: int) -> BigReal:
@@ -216,6 +216,15 @@ def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
     return pi.divide(BigReal(low.lo, low.hi + 1, bits))
 
 
+def _pi_root(pi: BigReal, ratio: Fraction) -> BigReal:
+    """pi sqrt(p/q) for a rational p/q > 0, at twice pi's b bits: sqrt(p/q) is
+    bracketed by ``math.isqrt`` as [r, r + 1] / 2^b, as in :func:`_pi_over_beta`,
+    and the two non-negative intervals multiply exactly."""
+    bits = pi.bits
+    root = math.isqrt((ratio.numerator << (2 * bits)) // ratio.denominator)
+    return BigReal(pi.lo * root, pi.hi * (root + 1), 2 * bits)
+
+
 def count_closed_form(beta: float) -> int:
     """Collision count floor(pi/beta - 1e-9), certified.
 
@@ -232,7 +241,7 @@ def count_closed_form(beta: float) -> int:
     (count,), _ = _certify(
         64 + exact.denominator.bit_length(),
         lambda pi: (pi.divide(_enclose(exact, pi.bits)) - _enclose(window, pi.bits),),
-        f"collision count not certified for beta = {beta!r}")
+        lambda: f"collision count not certified for beta = {beta!r}")
     return count
 
 
@@ -273,7 +282,10 @@ def count_certified(ratio: float | Fraction) -> int:
     exact = Fraction(ratio)
     (count,), _ = _certify(
         _ratio_start(exact), lambda pi: (_pi_over_beta(pi, exact),),
-        f"collision count not certified for M/m = {ratio!r}", _ratio_lift(exact))
+        lambda: "collision count not certified for M/m = " + (
+            repr(ratio) if isinstance(ratio, float) else
+            f"p/q of {exact.numerator.bit_length()} and {exact.denominator.bit_length()} bits"),
+        _ratio_lift(exact))
     return count
 
 
@@ -332,7 +344,7 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     ratio = Fraction(100 ** digits)
     (scaled_floor, count), bits = _certify(
         _ratio_start(ratio), lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
-        f"floor not certified for N={digits}", _ratio_lift(ratio))
+        lambda: f"floor not certified for N={digits}", _ratio_lift(ratio))
     if scaled_floor != oracle:
         raise PiDigitsMismatchError(
             f"certified interval floor {_format_int(scaled_floor)} disagrees "

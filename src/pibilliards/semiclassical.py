@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .classical import _certify, _pi_root, _ratio_start
 from .core import (BilliardParams, _check_positive, _check_quantum_number,
                    _check_v_sign, _turning_ratio)
 from .curves import CurveSeries, _alpha_grid, _gauss_legendre
@@ -104,8 +106,21 @@ def total_phase(cfg: SemiclassicalConfig) -> float:
 
 def extremum_count(cfg: SemiclassicalConfig) -> int:
     """Number of mean-position oscillation extrema over the full trip,
-    floor(P(n, R))."""
-    return math.floor(cfg.phase_prefactor)
+    floor(P(n, R)), certified at the exact rational masses.
+
+    P = pi sqrt(rho) with rho = (2n+1)^2 / ((2n+1)^2 + 1) * M/m, enclosed by
+    ``classical._pi_root`` from ``classical._ratio_start(rho)`` bits, doubled
+    as the collision count is.  P is pi times a nonzero algebraic number, so it
+    is never an integer: only a near-tie can fail, and it raises
+    IndeterminateFloorError rather than guess.  The double ``phase_prefactor``
+    carries a few ulps of error, and its floor can be one off.
+    """
+    square = (2 * int(cfg.n) + 1) ** 2
+    rho = Fraction(square, square + 1) * Fraction(cfg.params.M) / Fraction(cfg.params.m)
+    (count,), _ = _certify(_ratio_start(rho), lambda pi: (_pi_root(pi, rho),),
+                           lambda: f"extremum count not certified for n = {cfg.n}, "
+                                   f"M/m = {cfg.params.M / cfg.params.m!r}")
+    return count
 
 
 def sample_curve(cfg: SemiclassicalConfig, grid: int = 2000) -> CurveSeries:

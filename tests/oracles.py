@@ -435,3 +435,20 @@ def closed_form_floor_mp(beta: float, dps: int = 400) -> int:
     """floor(pi / beta - 1e-9) for the exact doubles ``beta`` and 1e-9, at ``dps`` digits."""
     with mpmath.workdps(dps):
         return int(mpmath.floor(mpmath.pi / mpmath.mpf(beta) - mpmath.mpf(1e-9)))
+
+
+def extremum_floor_mp(n: int, ratio: float, dps: int = 60) -> int:
+    """floor(P(n, R)) = floor(pi sqrt((2n+1)^2 / ((2n+1)^2 + 1) * ratio)) for
+    the exact double ``ratio`` = M/m, at ``dps`` digits."""
+    square = (2 * n + 1) ** 2
+    with mpmath.workdps(dps):
+        return int(mpmath.floor(mpmath.pi * mpmath.sqrt(
+            mpmath.mpf(square) / (square + 1) * mpmath.mpf(ratio))))
+
+
+def near_integer_extremum_ratio(n: int, k: int) -> float:
+    """The double nearest (k / (c pi))^2, c = (2n+1) / sqrt((2n+1)^2 + 1): the
+    mass ratio at which P(n, R) = c pi R crosses the integer k."""
+    square = (2 * n + 1) ** 2
+    with mpmath.workdps(40):
+        return float((k / mpmath.pi) ** 2 * (square + 1) / square)

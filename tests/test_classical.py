@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -83,11 +84,20 @@ def test_count_bounded_by_angle_quotient():
         assert simulate(p, 1.0, 10.0, 1.0).count <= math.ceil(math.pi / p.wedge_angle)
 
 
+def all_normal(trace) -> bool:
+    """Every velocity of ``trace`` is 0 or a normal double."""
+    return all(v == 0 or sys.float_info.min <= abs(v) <= sys.float_info.max
+               for ev in trace.events for v in (ev.state_after.vx, ev.state_after.vy))
+
+
+# |v| <= 100 v0 at M/m <= 1e4, so every velocity stays below the double range
 @settings(max_examples=40, deadline=None)
-@given(st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+@given(st.floats(-300.0, 306.0).map(lambda e: 10.0 ** e),
        st.floats(0.0, 4.0).map(lambda e: 10.0 ** e))
 @example(1e-20, 100.0)  # the velocity floats lost every bit when cut to 62 bits together
 @example(1e-9, 1e4)
+@example(1e306, 1e4)
+@example(1e-300, 1e4)
 def test_simulate_velocities_within_an_ulp_at_any_speed(v0, ratio):
     p = BilliardParams.from_mass_ratio(ratio)
     trace = simulate(p, v0, 10.0, 1.0)
@@ -106,7 +116,38 @@ def test_simulate_velocities_within_an_ulp_at_any_speed(v0, ratio):
             assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
     assert not vy > vx and vy >= 0  # no further collision
     assert trace.count == simulate(p, 1.0, 10.0, 1.0).count
-    assert trace.max_energy_drift < 1e-15
+    if all_normal(trace):
+        assert trace.max_energy_drift < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-300.0, 308.0), st.floats(-300.0, 300.0), st.floats(1.0, 1e4))
+@example(308.0, 0.0, 100.0)  # vy passes the double range: inf in the trace
+@example(-300.0, 0.0, 100.0)  # M v0^2 underflows to 0
+@example(153.0, -204.0, 1e4)  # M = 1e-200, m = 1e-204: vy**2 overflowed in the drift
+def test_simulate_count_exact_at_any_scale(e, s, ratio):
+    # v0 = 10^e and masses scaled by 10^s: the count is the certified one, and
+    # the drift, in units of the initial energy, is below 1e-15 whenever every
+    # velocity is a normal double
+    params = BilliardParams(ratio * 10.0 ** s, 10.0 ** s)
+    trace = simulate(params, 10.0 ** e, 10.0, 1.0)
+    assert trace.count == count_certified(Fraction(params.M) / Fraction(params.m))
+    if all_normal(trace):
+        assert trace.max_energy_drift < 1e-15
+
+
+@pytest.mark.parametrize("params, v0", [
+    (BilliardParams(2.0, 1.0), 5e-324),  # a closing speed rounds to 0
+    (BilliardParams(100.0, 1.0), 1e308),  # vy rounds to inf
+    (BilliardParams(1e-150, 1e150), 1e-200),  # vy rounds to 0 before the wall
+])
+def test_simulate_counts_where_velocities_leave_the_double_range(params, v0):
+    # the exact integers decide every branch: the count is exact while event
+    # times or the drift become non-finite, which only a trace run refuses
+    trace = simulate(params, v0, 10.0, 1.0)
+    assert trace.count == count_certified(Fraction(params.M) / Fraction(params.m))
+    assert not all(math.isfinite(v) for ev in trace.events
+                   for v in (ev.t, trace.max_energy_drift, *vars(ev.state_after).values()))
 
 
 def test_simulate_preconditions():
@@ -196,6 +237,15 @@ def test_certified_count_domain_and_ceiling(monkeypatch):
     monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
     with pytest.raises(IndeterminateFloorError, match="not certified"):
         count_certified(2.0)
+
+
+def test_certified_count_message_built_only_on_failure(monkeypatch):
+    # repr(Fraction(100**2150)) passes the 4300-digit limit of int -> str
+    ratio = Fraction(100 ** 2150)
+    assert count_certified(ratio) == pi_digits_detail(2150).collision_count
+    monkeypatch.setattr(BigReal, "floor_certified", lambda self: None)
+    with pytest.raises(IndeterminateFloorError, match="M/m = p/q of 14285 and 1 bits"):
+        count_certified(ratio)
 
 
 def test_certified_count_matches_digits_at_decades():

@@ -196,6 +196,16 @@ def test_simulate_manifest_parameters(tmp_path, capsys):
     assert set(parameters) == {"M", "m", "N", "beta", "mass_ratio", "v0", "x0", "y0"}
 
 
+def test_semiclassical_extremum_count_certified(tmp_path, capsys):
+    # P = 8919 + 5.5e-15 at the exact masses; the double prefactor is 8918.999999999998
+    out_path = tmp_path / "s.csv"
+    code, _, _ = run_cli(["semiclassical", "--n", "1", "--mass-ratio", "8955504.841738565",
+                          "--samples", "4", "--out", str(out_path)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["series_metadata"]["extremum_count"] == 8919
+
+
 def test_semiclassical_curve_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run_cli(
@@ -387,23 +397,23 @@ def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [
-    ["quantum", "--beta", "0.3", "--samples", "16"],  # with a NaN mean angle
+    ["quantum", "--beta", "0.3", "--samples", "16", "--out", "q.csv"],  # a NaN mean angle
     ["phaseshift", "--beta", "1e-320"],
-    ["simulate", "--mass-ratio", "100", "--v0", "1e154"],  # initial energy overflows
-    ["simulate", "--N", "1", "--v0", "1e200"],
-    ["simulate", "--N", "1", "--v0", "1e-300"],  # initial energy underflows to 0
+    ["simulate", "--N", "1", "--v0", "1e308", "--trace", "big.csv"],  # vy passes the range
+    ["simulate", "--N", "1", "--v0", "1e-320", "--trace", "t.csv"],  # event times overflow
+    ["simulate", "--mass-ratio", "2", "--v0", "5e-324", "--trace", "t.csv"],  # a speed rounds to 0
 ])
 def test_nonfinite_output_exit_3(argv, tmp_path, monkeypatch, capsys):
     # NaN or inf in what would be printed or written: nothing is emitted
-    out_path = tmp_path / "q.csv"
+    monkeypatch.chdir(tmp_path)
     if argv[0] == "quantum":
-        argv = [*argv, "--out", str(out_path)]
         monkeypatch.setattr(quantum, "theta_mean",
                             lambda rho, n, beta: np.full(np.shape(rho), np.nan))
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("pibilliards: ")
+    assert err.endswith(" NaN or infinite in double precision\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -415,20 +425,34 @@ def test_count_beta_where_pi_over_beta_overflows(capsys):
     assert len(out) == 322
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["print", "trace"])
 @pytest.mark.parametrize("argv", [
-    ["--N", "1", "--v0", "1e200"],
+    ["--N", "1", "--v0", "1e200"],  # M v0^2 overflows
     ["--mass-ratio", "100", "--v0", "1e154"],  # v0**2 raises past |v0| ~ 1.34e154
-    ["--params", "huge.json", "--v0", "1e60", "--trace", "t.csv"],  # M v0^2 is inf
+    ["--params", "huge.json", "--v0", "1e60"],  # M v0^2 is inf
+    ["--N", "1", "--v0", "1e-300"],  # M v0^2 underflows to 0
 ])
-def test_simulate_initial_energy_overflow_exit_3(argv, tmp_path, monkeypatch, capsys):
-    # the relative drift |E - e0|/e0 is NaN for e0 = inf: nothing is printed or
-    # written, where the trace run used to record a drift of 0.0 with exit 0
+def test_simulate_count_at_any_initial_energy(argv, trace, tmp_path, monkeypatch, capsys):
+    # the drift is taken in units of the initial energy, which need not be a
+    # double: the exact count is printed, and the trace is finite
     monkeypatch.chdir(tmp_path)
     Path("huge.json").write_text('{"M": 1e200, "m": 1e198}')
-    code, out, err = run_cli(["simulate", *argv], capsys)
-    assert (code, out) == (3, "")
-    assert err == "pibilliards: initial kinetic energy overflows in double precision\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+    code, out, _ = run_cli(["simulate", *argv, *(["--trace", "t.csv"] if trace else [])],
+                           capsys)
+    assert (code, out) == (0, "31\n")
+    if trace:
+        rows = [row.split(",")[2:] for row in Path("t.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 31 and all(math.isfinite(float(v)) for row in rows for v in row)
+        assert json.loads(Path("t.csv.manifest.json").read_text())["max_energy_drift"] < 1e-15
+
+
+def test_simulate_velocity_past_the_double_range_during_the_run(tmp_path, capsys):
+    # e0 = 5e105 is finite, but the light ball reaches about 100 v0, where
+    # its vy**2 raised OverflowError in the drift update
+    pfile = tmp_path / "p.json"
+    pfile.write_text('{"M": 1e-200, "m": 1e-204}')
+    code, out, _ = run_cli(["simulate", "--params", str(pfile), "--v0", "1e153"], capsys)
+    assert (code, out) == (0, "314\n")
 
 
 def test_quantum_far_radius_missing_y_exit_3(tmp_path, capsys):

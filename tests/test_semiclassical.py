@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import (asymptotic_speed, big_ball_speed, ode_half_trip_phase,
+from oracles import (asymptotic_speed, big_ball_speed, extremum_floor_mp,
+                     near_integer_extremum_ratio, ode_half_trip_phase,
                      ode_phase_integral, two_level_mean_position_quadrature)
 from pibilliards import (BilliardParams, DomainError, SemiclassicalConfig,
                          accumulated_phase, berry_connection, count_extrema,
@@ -214,6 +217,20 @@ def test_extremum_count_large_n_tie_geometry():
     # i.e. 9.67, one short of pi/beta = 10 exactly like the grazed classical ray
     rr = 1.0 / math.tan(math.pi / 10)
     assert extremum_count(cfg_for(10 ** 6, rr)) == 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(lambda n, k: (n, near_integer_extremum_ratio(n, k)),
+                 st.sampled_from([1, 3, 10]), st.integers(1, 10 ** 8)))
+@example((1, 8955504.841738565))  # the double prefactor's floor is 8918, P = 8919 + 5.5e-15
+@example((1, 31918226.74030792))  # 16838 from the double, floor 16837
+@example((1, 120203058.9867468))  # 32675 from the double, floor 32676
+def test_extremum_count_matches_mpmath_floor(case):
+    # P lands within a few ulps of an integer, where the double's floor is
+    # off by one for about a third of such ratios
+    n, ratio = case
+    cfg = SemiclassicalConfig(n, BilliardParams(ratio, 1.0))
+    assert extremum_count(cfg) == extremum_floor_mp(n, ratio)
 
 
 def test_extremum_count_matches_curve_scan():
