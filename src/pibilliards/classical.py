@@ -14,7 +14,9 @@ Regular and Chaotic Dynamics 8(4), 2003): in the mass-scaled plane
 rho_min = sqrt(m) y0, with polar angle phi = pi/2 + alpha folded back into
 the wedge with period 2 beta; the k-th collision is the crossing phi = k beta.
 Every sample and the collision count are closed forms; :func:`simulate` is the
-``simulate`` command and the tests' oracle for both.
+``simulate`` command and the tests' oracle for both.  Only the two curves use
+numpy, and they import it (and :mod:`pibilliards.curves`) when called, so the
+counts and the digits run on the standard library and mpmath alone.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bigreal import BigReal
-from .core import BilliardParams, DomainError, _check_beta, _check_positive
-from .curves import CurveSeries, _alpha_grid, _eta_grid, _format_int
+from .core import (BilliardParams, DomainError, _check_beta, _check_positive,
+                   _format_int)
+
+if TYPE_CHECKING:
+    from .curves import CurveSeries
 
 # Precision doublings allowed past the starting precision of each certified floor.
 _MAX_DOUBLINGS = 3
@@ -216,6 +220,15 @@ def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
     return pi.divide(BigReal(low.lo, low.hi + 1, bits))
 
 
+def _pi_over_beta_root(pi: BigReal, root: int) -> BigReal:
+    """:func:`_pi_over_beta` at M/m = root**2 for an integer root >= 1, bit for
+    bit, from the known root: beta = arctan(1/root) is one arctan interval, and
+    no square root is taken.  root = 1 is the tie M/m = 1."""
+    if root == 1:
+        return _pi_over_beta(pi, Fraction(1))
+    return pi.divide(BigReal.atan_fraction(1, root, pi.bits))
+
+
 def _pi_root(pi: BigReal, ratio: Fraction) -> BigReal:
     """pi sqrt(p/q) for a rational p/q > 0, at twice pi's b bits: sqrt(p/q) is
     bracketed by ``math.isqrt`` as [r, r + 1] / 2^b, as in :func:`_pi_over_beta`,
@@ -320,11 +333,12 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     """Certified floor(pi * 10**N) computed two independent ways.
 
     Route (a): the collision count at the exact mass ratio M/m = 100**N, as
-    :func:`count_certified` encloses it (N = 0 is the tie M/m = 1).  Route (b):
-    floor(pi * 10**N) from mpmath, which must also equal the BigReal interval
-    floor of pi * 10**N.  Both intervals share one pi per precision, doubled
-    until both floors are certain; there is no fixed ceiling on N.  The value
-    is returned only when all three agree.
+    :func:`count_certified` encloses it, with beta = arctan(10**-N) formed
+    from its known root 10**N (:func:`_pi_over_beta_root`; N = 0 is the tie
+    M/m = 1).  Route (b): floor(pi * 10**N) from mpmath, which must also
+    equal the BigReal interval floor of pi * 10**N.  Both intervals share one
+    pi per precision, doubled until both floors are certain; there is no
+    fixed ceiling on N.  The value is returned only when all three agree.
 
     The start is route (a)'s own, :func:`_ratio_start` at 100**N:
     b = 64 + floor(log2 100**N) bits.  There route (a)'s interval pi/beta is
@@ -341,9 +355,10 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
         raise DomainError("N must be a non-negative integer")
     digits = int(digits)
     oracle = _pi_floor_independent(digits)
-    ratio = Fraction(100 ** digits)
+    power = 10 ** digits
+    ratio = Fraction(power * power)
     (scaled_floor, count), bits = _certify(
-        _ratio_start(ratio), lambda pi: (pi.scale_int(10 ** digits), _pi_over_beta(pi, ratio)),
+        _ratio_start(ratio), lambda pi: (pi.scale_int(power), _pi_over_beta_root(pi, power)),
         lambda: f"floor not certified for N={digits}", _ratio_lift(ratio))
     if scaled_floor != oracle:
         raise PiDigitsMismatchError(
@@ -366,6 +381,7 @@ def pi_digits(digits: int) -> int:
 
 def _fold(phi, beta: float):
     """Unfolded polar angle reflected into the wedge [0, beta], period 2 beta."""
+    import numpy as np
     m = np.mod(phi, 2.0 * beta)
     return np.where(m > beta, 2.0 * beta - m, m)
 
@@ -395,6 +411,9 @@ def classical_curve(params: BilliardParams, samples: int = 2000) -> CurveSeries:
     at alpha_k = k beta - pi/2, recorded in the metadata for k = 1 .. the
     certified count of :func:`_unfolded_metadata`.
     """
+    import numpy as np
+
+    from .curves import CurveSeries, _alpha_grid
     alphas = _alpha_grid(samples)
     metadata = _unfolded_metadata(params)
     beta = params.wedge_angle
@@ -420,6 +439,7 @@ def classical_eta_curve(params: BilliardParams, samples: int = 2000) -> CurveSer
     the metadata, with the certified collision count, is that of
     :func:`classical_curve`.
     """
+    from .curves import CurveSeries, _eta_grid
     etas = _eta_grid(samples)
     metadata = _unfolded_metadata(params)
     beta = params.wedge_angle

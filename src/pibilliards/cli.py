@@ -11,6 +11,11 @@ Exit codes: 0 success, 2 usage error or non-finite input, 3 numerical
 indeterminacy (an uncertified floor, a disagreement between the routes of the
 digit certificate, or a NaN or infinite value in what would be printed or
 written).
+
+The semiclassical and quantum models are imported by the handlers that run
+them, and only those handlers run under ``np.errstate``: ``digits``, ``count``
+and ``simulate`` load neither numpy nor scipy, and ``phaseshift`` loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -22,18 +27,17 @@ import math
 import sys
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .classical import (CollisionTrace, classical_curve, classical_eta_curve,
                         count_certified, count_closed_form, pi_digits_detail,
                         simulate)
-from .core import BilliardParams, DomainError, _check_beta
-from .curves import CurveSeries, _format_int, format_sig
-from .quantum import (AMPLITUDE_COEFFICIENT_RULE, phase_shift,
-                      phase_shift_difference, sample_quantum_curve)
-from .semiclassical import SemiclassicalConfig, sample_curve
+from .core import (BilliardParams, DomainError, _check_beta, _format_int,
+                   format_sig)
+
+if TYPE_CHECKING:
+    from .curves import CurveSeries
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -66,10 +70,32 @@ def _geometry_provenance(args) -> dict:
     return prov
 
 
+def _count_nonfinite(value) -> int:
+    """NaN and infinite values in a number, an array, or a tuple or list of them:
+    a number is checked with ``math``, and numpy is imported only for an array."""
+    if isinstance(value, (int, float)):
+        return not math.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return sum(map(_count_nonfinite, value))
+    import numpy as np
+    return int(np.count_nonzero(~np.isfinite(np.asarray(value, dtype=float))))
+
+
 def _check_finite(what: str, *values) -> None:
     """Refuse to print or write anything when a number in ``values`` is NaN or inf."""
-    if bad := sum(np.count_nonzero(~np.isfinite(np.asarray(v, dtype=float))) for v in values):
+    if bad := _count_nonfinite(values):
         raise FloatingPointError(f"{what}: {bad} value(s) NaN or infinite in double precision")
+
+
+def _array_handler(handler):
+    """``handler`` under ``np.errstate(all="ignore")``: the NaN and inf values of
+    its arrays are reported by _check_finite, not as numpy warnings."""
+    @functools.wraps(handler)
+    def run_quietly(args) -> int:
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return handler(args)
+    return run_quietly
 
 
 def _finish(args, parameters: dict, outputs: list[Path] | None = None,
@@ -169,17 +195,22 @@ def _cmd_simulate(args) -> int:
                    collision_count=trace.count, max_energy_drift=trace.max_energy_drift)
 
 
+@_array_handler
 def _cmd_semiclassical(args) -> int:
+    from .semiclassical import SemiclassicalConfig, sample_curve
     cfg = SemiclassicalConfig(n=args.n, params=_geometry_params(args))
     return _emit_series(sample_curve(cfg, grid=args.samples), args)
 
 
+@_array_handler
 def _cmd_quantum(args) -> int:
+    from .quantum import AMPLITUDE_COEFFICIENT_RULE, sample_quantum_curve
     series = sample_quantum_curve(args.n, _geometry_beta(args), grid=args.samples)
     return _emit_series(series, args, amplitude_coefficient_rule=AMPLITUDE_COEFFICIENT_RULE)
 
 
 def _cmd_phaseshift(args) -> int:
+    from .quantum import phase_shift, phase_shift_difference
     beta = _geometry_beta(args)
     delta = phase_shift(args.n, beta)
     diff = phase_shift_difference(beta)
@@ -190,7 +221,10 @@ def _cmd_phaseshift(args) -> int:
         f"delta_delta = {format_sig(diff, sig)} ({format_sig(diff / math.pi, sig)} pi)"))
 
 
+@_array_handler
 def _cmd_figures(args) -> int:
+    from .quantum import AMPLITUDE_COEFFICIENT_RULE, sample_quantum_curve
+    from .semiclassical import SemiclassicalConfig, sample_curve
     outdir: Path = args.outdir
     beta = math.pi / 10
     params = BilliardParams.from_beta(beta)
@@ -281,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
-        # NaN/inf results are reported by _check_finite, not as numpy warnings
-        with np.errstate(all="ignore"):
-            return args.handler(args)
+        return args.handler(args)
     except ArithmeticError as exc:
         print(f"pibilliards: {exc}", file=sys.stderr)
         return _EXIT_INDETERMINATE

@@ -1,4 +1,4 @@
-"""Shared parameter types, domain checks and the wedge angle.
+"""Shared parameter types, domain checks, number formatting and the wedge angle.
 
 Two balls on a half-line (heavy ball at x, light ball at y, hard wall at the
 origin, 0 <= y <= x) map to a single free particle in a planar wedge once the
@@ -6,15 +6,19 @@ coordinates are scaled by the square roots of the masses: the polar point
 rho = sqrt(M x^2 + m y^2), theta = atan2(sqrt(m) y, sqrt(M) x) takes the strip
 0 <= y <= x onto 0 <= theta <= beta.  The wedge angle is beta = arccot(R) with
 R = sqrt(M/m), and every model in this package works in that geometry.
+
+Nothing here imports numpy or scipy at load time, so the integer-only
+subcommands (``digits``, ``count``, ``simulate``) start without them.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -39,9 +43,17 @@ def _check_beta(beta: float) -> None:
 
 
 def _check_positive(name: str, value, zero_ok: bool = False) -> None:
-    """``value`` (a number or an array) is finite and > 0, or >= 0 with ``zero_ok``."""
-    v = np.asarray(value)
-    if not np.all((v >= 0 if zero_ok else v > 0) & (v < np.inf)):
+    """``value`` (a number, a tuple of numbers or an array) is finite and > 0,
+    or >= 0 with ``zero_ok``.  Real numbers are compared as they are; numpy is
+    imported only for anything else."""
+    values = value if isinstance(value, tuple) else (value,)
+    if all(isinstance(v, numbers.Real) for v in values):
+        ok = all((v >= 0 if zero_ok else v > 0) and v < math.inf for v in values)
+    else:
+        import numpy as np
+        v = np.asarray(value)
+        ok = np.all((v >= 0 if zero_ok else v > 0) & (v < np.inf))
+    if not ok:
         raise DomainError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite")
 
 
@@ -111,6 +123,25 @@ class BilliardParams:
             except OverflowError:  # an integer beyond the double range
                 raise DomainError(f"parameter {key} is beyond the double range") from None
         return cls(**values)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported at the first Bessel or Legendre evaluation
+    and kept: importing it takes about 0.3 s, which no integer result needs."""
+    from scipy import special
+    return special
+
+
+def format_sig(value, sig: int = 12) -> str:
+    """Format a number with ``sig`` significant digits."""
+    return f"{value:.{sig}g}"
+
+
+def _format_int(value: int) -> str:
+    """All decimal digits of ``value``; unlike str(), not bounded by
+    sys.get_int_max_str_digits() (4300 digits by default)."""
+    return str(decimal.Decimal(value))
 
 
 def beta_of_ratio(ratio_root: float) -> float:

@@ -1,17 +1,19 @@
 """Curve containers, CSV/JSON emission, extremum scanning, and the
-Gauss-Legendre rule that the mean-angle and Berry-connection quadratures share."""
+Gauss-Legendre rule that the mean-angle and Berry-connection quadratures share.
+
+scipy is not imported with this module: ``scipy.special`` loads at the first
+evaluation of the rule's outer nodes.  ``format_sig`` lives in
+:mod:`pibilliards.core` and is re-exported here."""
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre
 
-from .core import DomainError
+from .core import DomainError, _special, format_sig
 
 
 def _midpoints(samples: int, width: float) -> np.ndarray:
@@ -68,6 +70,7 @@ def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     (numpy's eigenvalue-based ``leggauss``: 2.3e-10 and 6.3e-8 at the first
     two).  The work is O(m) for the interior and O(_OUTER_NODES m), in
     scipy's compiled recurrence, at the ends."""
+    eval_legendre = _special().eval_legendre
     k = np.arange(_OUTER_NODES, 0, -1)
     x = (1.0 - (m - 1) / (8.0 * m ** 3)) * np.cos(math.pi * (k - 0.25) / (m + 0.5))
     for _ in range(3):
@@ -123,17 +126,6 @@ def _alpha_grid(samples: int) -> np.ndarray:
 def _eta_grid(samples: int) -> np.ndarray:
     """Midpoint grid over the compactified radius (0, pi/2)."""
     return _midpoints(samples, math.pi / 2)
-
-
-def format_sig(value, sig: int = 12) -> str:
-    """Format a number with ``sig`` significant digits."""
-    return f"{value:.{sig}g}"
-
-
-def _format_int(value: int) -> str:
-    """All decimal digits of ``value``; unlike str(), not bounded by
-    sys.get_int_max_str_digits() (4300 digits by default)."""
-    return str(decimal.Decimal(value))
 
 
 @dataclass

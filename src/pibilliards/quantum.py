@@ -11,6 +11,10 @@ quantum image of the classical full-trip phase.  The mean sector angle in a
 two-channel superposition oscillates with radius like the classical angle
 oscillates with time; its amplitude coefficient C(n) is
 :func:`amplitude_coefficient`.
+
+The Bessel functions are scipy's: ``scipy.special`` is not imported with this
+module but at the first evaluation of :func:`cyl_j` or :func:`hankel1`, so
+``phase_shift`` and the other closed forms run without it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .core import (DomainError, _check_beta, _check_positive,
-                   _check_quantum_number)
+                   _check_quantum_number, _special)
 from .curves import CurveSeries, _eta_grid, _gauss_legendre
 
 # Accuracy contract for cylinder-function evaluation (relative).
@@ -57,7 +60,7 @@ def cyl_j(nu, x):
     Y.  The order and argument check here is the one :func:`hankel1` uses."""
     _check_positive("order", nu, zero_ok=True)
     _check_positive("argument", x)
-    return _sp.jv(nu, x)
+    return _special().jv(nu, x)
 
 
 def cyl_y(nu, x):
@@ -106,14 +109,15 @@ def hankel1(nu, x):
     scipy gives Y = -0 at orders above about 86, while the zeros of Y are no
     doubles and its amplitude is about sqrt(2/(pi x)).
     """
+    special = _special()
     h = np.array(cyl_j(nu, x), dtype=complex)
     nu = np.where(np.asarray(nu) < _SMALLEST_NORMAL, 0.0, nu)
     # set h.imag, not J + 1j * Y: 0 * inf would make the real part NaN
-    h.imag = np.imag(_sp.hankel1(nu, x))
+    h.imag = np.imag(special.hankel1(nu, x))
     missing = np.isnan(h.imag)
     if missing.any():
         nu, x = np.broadcast_arrays(nu, x)
-        h.imag[missing] = _sp.yv(nu[missing], x[missing])
+        h.imag[missing] = special.yv(nu[missing], x[missing])
     h.imag[(h.imag == 0) & (np.asarray(x) > _Y_ZERO_ARGUMENT)] = np.nan
     return h[()]
 

@@ -344,6 +344,22 @@ def test_pi_computed_at_the_lifted_precision(monkeypatch):
     assert calls == [start, start + bigreal._GUARD_BITS]
 
 
+@settings(max_examples=60, deadline=None)
+@given(digits=st.integers(0, 400))
+@example(digits=0)
+@example(digits=1)
+@example(digits=400)
+def test_decade_route_is_pi_over_beta_bit_for_bit(digits):
+    # route (a) of digits takes beta = arctan(10**-N) from the known root
+    # 10**N; at M/m = 100**N that is _pi_over_beta's perfect-square branch
+    ratio = Fraction(100 ** digits)
+    bits = classical._ratio_start(ratio)
+    pi = BigReal.pi(bits - classical._ratio_lift(ratio)).round_to(bits)
+    route = classical._pi_over_beta_root(pi, 10 ** digits)
+    exact = classical._pi_over_beta(pi, ratio)
+    assert (route.lo, route.hi, route.bits) == (exact.lo, exact.hi, exact.bits)
+
+
 def test_mpmath_floor_evaluated_at_one_precision(monkeypatch):
     # the mpmath floor is a cross-check, not the certificate: one pi at
     # N + 30 digits is enough, and a second pi would dominate a fresh run

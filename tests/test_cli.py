@@ -536,17 +536,48 @@ def test_bad_params_file_exit_code(text, message, tmp_path, capsys):
     assert err.startswith("pibilliards: ") and message in err
 
 
-def _run_fresh(argv, cwd=None):
-    """``pibilliards argv`` in a new interpreter that imports the package the
-    suite imports, installed or not."""
+def _run_python(args, cwd=None):
+    """``python args`` in a new interpreter that imports the package the suite
+    imports, installed or not."""
     src = str(Path(pibilliards.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "pibilliards.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def _run_fresh(argv, cwd=None):
+    """``pibilliards argv`` in a new interpreter (see _run_python)."""
+    return _run_python(["-m", "pibilliards.cli", *argv], cwd)
 
 
 def test_console_script_entry_point():
     proc = _run_fresh(["digits", "--N", "2"])
     assert proc.returncode == 0
     assert proc.stdout == "314\n"
+
+
+def test_integer_commands_import_neither_numpy_nor_scipy(tmp_path):
+    # digits, count and simulate need only BigReal, Fraction and mpmath, and
+    # phaseshift no Bessel function: importing numpy and scipy.special would
+    # be most of a fresh run's time
+    code = (
+        "import sys\n"
+        "from pibilliards.cli import main\n"
+        "def loaded(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "for argv in (['digits', '--N', '10'], ['count', '--mass-ratio', '1e10'],\n"
+        "             ['count', '--beta', '0.3'], ['simulate', '--N', '2'],\n"
+        "             ['simulate', '--mass-ratio', '100', '--trace', 't.csv']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert not loaded('numpy', 'scipy'), (argv, loaded('numpy', 'scipy'))\n"
+        "assert main(['phaseshift', '--n', '1', '--beta', '0.3']) == 0\n"
+        "assert not loaded('scipy')\n"
+        "assert main(['quantum', '--n', '1', '--beta', '0.3', '--samples', '50',\n"
+        "             '--out', 'q.csv']) == 0\n")
+    proc = _run_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:5] == ["31415926535", "314159", "10", "314", "31"]
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 31
+    rows = (tmp_path / "q.csv").read_text().splitlines()
+    assert rows[0] == "eta,theta_over_beta,model,l" and len(rows) == 1 + 50

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -143,3 +147,42 @@ def test_public_names_resolve():
     namespace = {}
     exec("from pibilliards import *", namespace)
     assert set(pibilliards.__all__) <= set(namespace)
+
+
+def test_lazy_package_contract():
+    # in a fresh interpreter: importing the package loads none of its modules,
+    # and each public name resolves, on first use, to its defining module's object
+    src = str(Path(pibilliards.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import importlib, sys\n"
+        "import pibilliards\n"
+        "assert pibilliards.__version__ == '0.1.0'\n"
+        "assert not [m for m in sys.modules if m.startswith('pibilliards.')]\n"
+        "assert len(pibilliards.__all__) == len(set(pibilliards.__all__)) == 42\n"
+        "namespace = {}\n"
+        "exec('from pibilliards import *', namespace)\n"
+        "del namespace['__builtins__']\n"
+        "assert set(namespace) == set(pibilliards.__all__)\n"
+        "modules = [importlib.import_module('pibilliards.' + m) for m in\n"
+        "           ('bigreal', 'core', 'curves', 'classical', 'semiclassical', 'quantum')]\n"
+        "for name in pibilliards.__all__[1:]:\n"
+        "    value = getattr(pibilliards, name)\n"
+        "    # the one public constant, a str, is quantum's\n"
+        "    owner = ('pibilliards.quantum' if name == 'AMPLITUDE_COEFFICIENT_RULE'\n"
+        "             else value.__module__)\n"
+        "    assert owner.startswith('pibilliards.'), name\n"
+        "    assert value is getattr(sys.modules[owner], name), name\n"
+        "    assert namespace[name] is value, name\n"
+        "for name in ('no_such_name', 'numpy', 'cli'):\n"
+        "    try:\n"
+        "        getattr(pibilliards, name)\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(name)\n"
+        "from pibilliards import cli\n"
+        "assert cli is sys.modules['pibilliards.cli']\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
