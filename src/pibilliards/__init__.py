@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 # defining module of each public name
 _SOURCES = {
     "bigreal": ("BigReal",),
-    "core": ("BilliardParams", "DomainError", "beta_of_ratio"),
+    "core": ("BilliardParams", "DomainError", "beta_of_ratio",
+             "phase_shift", "phase_shift_difference"),
     "curves": ("CurveSeries", "count_extrema", "first_extremum_abscissa"),
     "classical": ("ClassicalState", "CollisionEvent", "CollisionKind", "CollisionTrace",
                   "SimulationConsistencyError", "IndeterminateFloorError",
@@ -24,7 +25,6 @@ _SOURCES = {
                       "total_phase", "extremum_count", "sample_curve"),
     "quantum": ("CylinderValue", "CylinderPrecisionError", "AMPLITUDE_COEFFICIENT_RULE",
                 "amplitude_coefficient", "cyl_j", "cyl_y", "cylinder", "hankel1",
-                "phase_shift", "phase_shift_difference",
                 "theta_mean", "theta_mean_quadrature", "sample_quantum_curve"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

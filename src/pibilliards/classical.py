@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bigreal import BigReal
-from .core import (BilliardParams, DomainError, _check_beta, _check_positive,
-                   _format_int)
+from .core import (BilliardParams, DomainError, _check_beta, _check_decade,
+                   _check_positive, _format_int)
 
 if TYPE_CHECKING:
     from .curves import CurveSeries
@@ -351,8 +351,7 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     fails only when its value lies within about 2^-60 of an integer, and
     only then does the doubling loop take over.
     """
-    if not 0 <= digits < math.inf or digits != int(digits):
-        raise DomainError("N must be a non-negative integer")
+    _check_decade(digits)
     digits = int(digits)
     oracle = _pi_floor_independent(digits)
     power = 10 ** digits

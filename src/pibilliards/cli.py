@@ -13,9 +13,8 @@ digit certificate, or a NaN or infinite value in what would be printed or
 written).
 
 The semiclassical and quantum models are imported by the handlers that run
-them, and only those handlers run under ``np.errstate``: ``digits``, ``count``
-and ``simulate`` load neither numpy nor scipy, and ``phaseshift`` loads no
-scipy.
+them, and only those handlers run under ``np.errstate``: ``digits``, ``count``,
+``simulate`` and ``phaseshift`` load neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from . import __version__
 from .classical import (CollisionTrace, classical_curve, classical_eta_curve,
                         count_certified, count_closed_form, pi_digits_detail,
                         simulate)
-from .core import (BilliardParams, DomainError, _check_beta, _format_int,
-                   format_sig)
+from .core import (BilliardParams, DomainError, _check_beta, _check_decade,
+                   _format_int, format_sig, phase_shift, phase_shift_difference)
 
 if TYPE_CHECKING:
     from .curves import CurveSeries
@@ -51,6 +50,7 @@ def _geometry_params(args) -> BilliardParams:
         return BilliardParams.from_beta(args.beta)
     if args.mass_ratio is not None:
         return BilliardParams.from_mass_ratio(args.mass_ratio)
+    _check_decade(args.N)
     if 2 * args.N > sys.float_info.max_10_exp:  # 100**N = 10**(2N) overflows a double
         raise DomainError(f"--N {args.N}: the mass ratio 100**N exceeds the double range")
     return BilliardParams.from_mass_ratio(float(100 ** args.N))
@@ -210,10 +210,8 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_phaseshift(args) -> int:
-    from .quantum import phase_shift, phase_shift_difference
     beta = _geometry_beta(args)
-    delta = phase_shift(args.n, beta)
-    diff = phase_shift_difference(beta)
+    delta, diff = phase_shift(args.n, beta), phase_shift_difference(beta)
     _check_finite("phase shift", delta, diff)
     sig = args.precision
     return _finish(args, {**_geometry_provenance(args), "n": args.n}, stdout=(

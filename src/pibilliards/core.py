@@ -1,4 +1,4 @@
-"""Shared parameter types, domain checks, number formatting and the wedge angle.
+"""Parameter types, domain checks, number formatting, the wedge angle and phase shifts.
 
 Two balls on a half-line (heavy ball at x, light ball at y, hard wall at the
 origin, 0 <= y <= x) map to a single free particle in a planar wedge once the
@@ -7,8 +7,8 @@ rho = sqrt(M x^2 + m y^2), theta = atan2(sqrt(m) y, sqrt(M) x) takes the strip
 0 <= y <= x onto 0 <= theta <= beta.  The wedge angle is beta = arccot(R) with
 R = sqrt(M/m), and every model in this package works in that geometry.
 
-Nothing here imports numpy or scipy at load time, so the integer-only
-subcommands (``digits``, ``count``, ``simulate``) start without them.
+Nothing here imports numpy or scipy at load time, so ``digits``, ``count``,
+``simulate`` and ``phaseshift`` start without them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ def _check_quantum_number(n) -> None:
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta <= math.pi / 2:
         raise DomainError("beta must lie in (0, pi/2]")
+
+
+def _check_decade(N) -> None:
+    if not 0 <= N < math.inf or N != int(N):
+        raise DomainError("N must be a non-negative integer")
 
 
 def _check_positive(name: str, value, zero_ok: bool = False) -> None:
@@ -152,3 +157,20 @@ def beta_of_ratio(ratio_root: float) -> float:
     """
     _check_positive("mass-ratio root", ratio_root, zero_ok=True)
     return math.atan2(1.0, ratio_root)
+
+
+def phase_shift(n: int, beta: float) -> float:
+    """delta(n) = (n pi / beta + 1/2) pi between incident and outgoing waves.
+
+    Energy- and wavenumber-independent: the standing sector mode gains the
+    same phase at every k.
+    """
+    _check_quantum_number(n)
+    _check_beta(beta)
+    return (n * math.pi / beta + 0.5) * math.pi
+
+
+def phase_shift_difference(beta: float) -> float:
+    """delta(n+1) - delta(n) = pi^2 / beta, the same for every channel."""
+    _check_beta(beta)
+    return math.pi ** 2 / beta

@@ -1,20 +1,19 @@
-"""Free particle in an unbounded plane sector: modes, phase shifts, mean angle.
+"""Free particle in an unbounded plane sector: Bessel waves and the mean angle.
 
 With both balls quantum, the problem separates in the mass-scaled polar
 coordinates into sector eigenmodes sin(l theta) with l = n pi / beta and
 radial cylinder waves of real order l.  The standing radial mode J splits
 into the incident wave H1 = J + iY and the outgoing wave conj(H1) = J - iY
 (for real order and argument the conjugate is the second Hankel function).
-Their asymptotic phase shift delta(n) = (l + 1/2) pi is independent of the
-wavenumber; the difference between adjacent channels, pi^2 / beta, is the
-quantum image of the classical full-trip phase.  The mean sector angle in a
-two-channel superposition oscillates with radius like the classical angle
-oscillates with time; its amplitude coefficient C(n) is
+Their asymptotic phase shift delta(n) = (l + 1/2) pi, ``core.phase_shift``,
+is independent of the wavenumber; the difference between adjacent channels,
+pi^2 / beta, is the quantum image of the classical full-trip phase.  The mean
+sector angle in a two-channel superposition oscillates with radius like the
+classical angle oscillates with time; its amplitude coefficient C(n) is
 :func:`amplitude_coefficient`.
 
 The Bessel functions are scipy's: ``scipy.special`` is not imported with this
-module but at the first evaluation of :func:`cyl_j` or :func:`hankel1`, so
-``phase_shift`` and the other closed forms run without it.
+module but at the first evaluation of :func:`cyl_j` or :func:`hankel1`.
 """
 
 from __future__ import annotations
@@ -120,23 +119,6 @@ def hankel1(nu, x):
         h.imag[missing] = special.yv(nu[missing], x[missing])
     h.imag[(h.imag == 0) & (np.asarray(x) > _Y_ZERO_ARGUMENT)] = np.nan
     return h[()]
-
-
-def phase_shift(n: int, beta: float) -> float:
-    """delta(n) = (n pi / beta + 1/2) pi between incident and outgoing waves.
-
-    Energy- and wavenumber-independent: the standing sector mode gains the
-    same phase at every k.
-    """
-    _check_quantum_number(n)
-    _check_beta(beta)
-    return (n * math.pi / beta + 0.5) * math.pi
-
-
-def phase_shift_difference(beta: float) -> float:
-    """delta(n+1) - delta(n) = pi^2 / beta, the same for every channel."""
-    _check_beta(beta)
-    return math.pi ** 2 / beta
 
 
 def amplitude_coefficient(n: int) -> float:

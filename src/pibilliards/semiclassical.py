@@ -68,8 +68,7 @@ class SemiclassicalConfig:
 
 
 def berry_connection(n: int, x: float) -> float:
-    """<psi_n | d/dx psi_n> by Gauss-Legendre quadrature over the well, with
-    320 nodes, or 2(n + 1) + 32 from n = 144 on.
+    """<psi_n | d/dx psi_n> over the well, by the Gauss-Legendre rule ``curves._gauss_legendre``.
 
     The well eigenfunctions are real, so this geometric connection, and with
     it the geometric phase, vanishes; the quadrature is the cross-check.

@@ -397,6 +397,23 @@ def test_nonfinite_input_and_dead_flag_exit_2(argv, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [
+    ["count", "--N", "-1"],
+    ["simulate", "--N", "-1", "--trace", "t.csv"],
+    ["semiclassical", "--N", "-1", "--out", "c.csv"],
+    ["quantum", "--N", "-1", "--out", "c.csv"],
+    ["phaseshift", "--N", "-1"],
+])
+def test_negative_decade_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # every --N has the domain of digits --N: nothing is printed or written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--manifest", "m.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "pibilliards: N must be a non-negative integer\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["quantum", "--beta", "0.3", "--samples", "16", "--out", "q.csv"],  # a NaN mean angle
     ["phaseshift", "--beta", "1e-320"],
     ["simulate", "--N", "1", "--v0", "1e308", "--trace", "big.csv"],  # vy passes the range
@@ -559,8 +576,8 @@ def test_console_script_entry_point():
 
 def test_integer_commands_import_neither_numpy_nor_scipy(tmp_path):
     # digits, count and simulate need only BigReal, Fraction and mpmath, and
-    # phaseshift no Bessel function: importing numpy and scipy.special would
-    # be most of a fresh run's time
+    # phaseshift only math: importing numpy and scipy.special would be most of
+    # a fresh run's time
     code = (
         "import sys\n"
         "from pibilliards.cli import main\n"
@@ -568,16 +585,18 @@ def test_integer_commands_import_neither_numpy_nor_scipy(tmp_path):
         "    return [name for name in names if name in sys.modules]\n"
         "for argv in (['digits', '--N', '10'], ['count', '--mass-ratio', '1e10'],\n"
         "             ['count', '--beta', '0.3'], ['simulate', '--N', '2'],\n"
-        "             ['simulate', '--mass-ratio', '100', '--trace', 't.csv']):\n"
+        "             ['simulate', '--mass-ratio', '100', '--trace', 't.csv'],\n"
+        "             ['phaseshift', '--n', '1', '--beta', '0.3']):\n"
         "    assert main(argv) == 0, argv\n"
         "    assert not loaded('numpy', 'scipy'), (argv, loaded('numpy', 'scipy'))\n"
-        "assert main(['phaseshift', '--n', '1', '--beta', '0.3']) == 0\n"
-        "assert not loaded('scipy')\n"
         "assert main(['quantum', '--n', '1', '--beta', '0.3', '--samples', '50',\n"
         "             '--out', 'q.csv']) == 0\n")
     proc = _run_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:5] == ["31415926535", "314159", "10", "314", "31"]
+    assert proc.stdout.splitlines() == [
+        "31415926535", "314159", "10", "314", "31",
+        "delta = 34.4694776638 (10.971975512 pi)",
+        "delta_delta = 32.898681337 (10.471975512 pi)"]
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 31
     rows = (tmp_path / "q.csv").read_text().splitlines()
     assert rows[0] == "eta,theta_over_beta,model,l" and len(rows) == 1 + 50
