@@ -16,8 +16,10 @@ pi comes from the Chudnovsky series summed by binary splitting, in integers
 only (the Machin identity pi = 16 arctan(1/5) - 4 arctan(1/239), which it
 replaced, is the containment oracle in ``tests/oracles.py``).  Arctangents
 come from the alternating Taylor series after reducing the argument to at
-most 1/2.  Division forms only the two endpoint quotients that bound the
-result.
+most 1/2, dividing each power by the odd part of the denominator alone.
+Division forms only the two endpoint quotients that bound the result; where
+only the floor of the quotient is wanted, ``_divide_for_floor`` forms just
+the floors of those two quotients, by two divisions with short quotients.
 """
 
 from __future__ import annotations
@@ -108,6 +110,26 @@ class BigReal:
         return BigReal((self.lo << self.bits) // other.hi,
                        _ceil_div(self.hi << self.bits, other.lo), self.bits)
 
+    def _divide_for_floor(self, other: "BigReal") -> "BigReal":
+        """An enclosure of self/other whose :meth:`floor_certified` is that of
+        :meth:`divide`, from two short divisions instead of two b-bit quotients.
+
+        The floor of :meth:`divide`'s lower end is floor(floor(lo 2^b / d)/2^b)
+        = lo // d with d = other.hi.  With Q, R = divmod(hi, other.lo), its upper
+        end is Q 2^b + ceil(R 2^b / other.lo), and the ceiling, below or at 2^b,
+        carries into Q exactly when R 2^b > (2^b - 1) other.lo, that is when
+        (other.lo - R) 2^b < other.lo.  With low and high those two floors, the
+        result [low 2^b, (high + 1) 2^b - 1] contains :meth:`divide`'s
+        interval.  Raises ZeroDivisionError when other.lo is 0.
+        """
+        self._require_same_precision(other)
+        if other.lo <= 0:
+            raise ZeroDivisionError("divisor interval reaches zero")
+        bits = self.bits
+        quotient, remainder = divmod(self.hi, other.lo)
+        high = quotient + (((other.lo - remainder) << bits) < other.lo)
+        return BigReal((self.lo // other.hi) << bits, ((high + 1) << bits) - 1, bits)
+
     # -- certified queries ----------------------------------------------------
 
     def floor_certified(self):
@@ -148,13 +170,17 @@ class BigReal:
             quarter_pi = BigReal(pi.lo, pi.hi, work + 2).round_to(work)
             rest = cls.atan_fraction(abs(num - den), num + den, work)
             return (quarter_pi + rest if num >= den else quarter_pi - rest).round_to(bits)
-        mag = (num << work) // den
-        num2, den2 = num * num, den * den
+        # with den = odd 2^s, floor(a / den) = floor((a >> s) / odd) exactly, so
+        # only the odd part of den is divided by: 5^N for den = 10^N, 1 for 2^b
+        s = (den & -den).bit_length() - 1
+        odd = den >> s
+        mag = ((num << work) >> s) // odd
+        num2, odd2 = num * num, odd * odd
         total = k = 0
         while mag > 2 * k + 1:
             term = mag // (2 * k + 1)
             total += -term if k & 1 else term
-            mag = mag * num2 // den2
+            mag = ((mag * num2) >> (2 * s)) // odd2
             k += 1
         # arctan x >= 0 for x >= 0, so a lower endpoint below zero is clamped
         return cls(max(total - 3 * k - 3, 0), total + 3 * k + 3, work).round_to(bits)

@@ -198,13 +198,16 @@ def _enclose(x: Fraction, bits: int) -> BigReal:
 
 
 def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
-    """pi/beta at the exact mass ratio M/m = p/q, beta = arctan(sqrt(q/p)).
+    """An enclosure of pi/beta at the exact mass ratio M/m = p/q,
+    beta = arctan(sqrt(q/p)), for its certified floor.
 
     At the ties of ``_RATIO_TIES`` it is their count, a degenerate interval.
     When p and q are perfect squares, beta is one arctan interval, so
     M/m = 100**N costs one arctan(10**-N).  Otherwise sqrt(q/p) is bracketed
     by ``math.isqrt`` at pi's b bits as [r, r + 1] / 2^b, and beta by the
-    arctan interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b].
+    arctan interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b].  Only the
+    floor is read, so the quotient is :meth:`BigReal._divide_for_floor`'s: its
+    floor is that of :meth:`BigReal.divide`, from two short divisions.
     """
     bits = pi.bits
     if ratio in _RATIO_TIES:
@@ -213,11 +216,11 @@ def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
     p, q = ratio.numerator, ratio.denominator
     root_p, root_q = math.isqrt(p), math.isqrt(q)
     if root_p * root_p == p and root_q * root_q == q:
-        return pi.divide(BigReal.atan_fraction(root_q, root_p, bits))
+        return pi._divide_for_floor(BigReal.atan_fraction(root_q, root_p, bits))
     root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
     low = BigReal.atan_fraction(root, 1 << bits, bits)
     # arctan is increasing and 1-Lipschitz, so beta <= low.hi + 2^-bits
-    return pi.divide(BigReal(low.lo, low.hi + 1, bits))
+    return pi._divide_for_floor(BigReal(low.lo, low.hi + 1, bits))
 
 
 def _pi_over_beta_root(pi: BigReal, root: int) -> BigReal:
@@ -226,7 +229,7 @@ def _pi_over_beta_root(pi: BigReal, root: int) -> BigReal:
     no square root is taken.  root = 1 is the tie M/m = 1."""
     if root == 1:
         return _pi_over_beta(pi, Fraction(1))
-    return pi.divide(BigReal.atan_fraction(1, root, pi.bits))
+    return pi._divide_for_floor(BigReal.atan_fraction(1, root, pi.bits))
 
 
 def _pi_root(pi: BigReal, ratio: Fraction) -> BigReal:
@@ -349,7 +352,11 @@ def pi_digits_detail(digits: int) -> PiDigitsResult:
     widened to b by an exact shift: route (a)'s width grows by under 2^-8
     of itself, and route (b)'s interval is about 2^-71 wide.  So a floor
     fails only when its value lies within about 2^-60 of an integer, and
-    only then does the doubling loop take over.
+    only then does the doubling loop take over.  Route (a) only floors
+    pi/beta, so it forms the floors of its two endpoint quotients
+    (:meth:`BigReal._divide_for_floor`), each about log2 10**N bits long,
+    not the two b-bit quotients; the arctan divides by 5**N, the odd part
+    of 10**N.
     """
     _check_decade(digits)
     digits = int(digits)

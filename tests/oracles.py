@@ -19,9 +19,10 @@ phase of H1 integrated through its Wronskian (not from the closed form
 classical curves are replayed from the float event trace of ``simulate``,
 mapped to the wedge by ``to_polar``, and evaluated on the folded straight line
 in high-precision arithmetic (not from the vectorized unfolding); pi comes
-from the Machin series and interval quotients from all eight endpoint
-quotients (not from the Chudnovsky binary splitting and the two-quotient
-``BigReal.divide``).
+from the Machin series, interval quotients from all eight endpoint
+quotients and arctangents from the series divided by the whole denominator
+(not from the Chudnovsky binary splitting, the two-quotient
+``BigReal.divide`` and the division by the denominator's odd part).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from pibilliards import bigreal
 from pibilliards.bigreal import BigReal
 from pibilliards.classical import ClassicalState, CollisionTrace
 from pibilliards.core import BilliardParams, _turning_ratio
@@ -411,6 +413,29 @@ def machin_pi(bits: int) -> BigReal:
     a = BigReal.atan_fraction(1, 5, work)
     b = BigReal.atan_fraction(1, 239, work)
     return (a.scale_int(16) - b.scale_int(4)).round_to(bits)
+
+
+def atan_fraction_plain(num: int, den: int, bits: int) -> BigReal:
+    """``BigReal.atan_fraction`` with every power divided by den and den^2 as
+    they are, not by their odd parts: the same reductions to num/den <= 1/2
+    and the same floored series at bits + _GUARD_BITS bits."""
+    if num == 0:
+        return BigReal(0, 0, bits)
+    work = bits + bigreal._GUARD_BITS
+    if 2 * num > den:
+        pi = BigReal.pi(work)
+        if num > 2 * den:
+            half_pi = BigReal(pi.lo, pi.hi, work + 1).round_to(work)
+            return (half_pi - atan_fraction_plain(den, num, work)).round_to(bits)
+        quarter_pi = BigReal(pi.lo, pi.hi, work + 2).round_to(work)
+        rest = atan_fraction_plain(abs(num - den), num + den, work)
+        return (quarter_pi + rest if num >= den else quarter_pi - rest).round_to(bits)
+    power, total, k = (num << work) // den, 0, 0
+    while power > 2 * k + 1:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power = power * num * num // (den * den)
+        k += 1
+    return BigReal(max(total - 3 * k - 3, 0), total + 3 * k + 3, work).round_to(bits)
 
 
 def divide_all_quotients(a: BigReal, b: BigReal) -> BigReal:

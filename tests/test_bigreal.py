@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import divide_all_quotients, machin_pi
+from oracles import atan_fraction_plain, divide_all_quotients, machin_pi
 
 from pibilliards import BigReal, bigreal
 
@@ -109,6 +109,60 @@ def test_divide_equals_all_quotient_oracle(a, b, c, d, bits):
     den = BigReal(min(c, d), max(c, d), bits)
     got, expected = num.divide(den), divide_all_quotients(num, den)
     assert (got.lo, got.hi) == (expected.lo, expected.hi)
+
+
+# the upper floor of divide carries when R 2^b > (2^b - 1) other.lo, with
+# R = hi mod other.lo: these three sit at that boundary for b = 64, where the
+# lower floor, 7 d // d with d = 3 2^b + 2, is 7
+_B = 1 << 64
+_AT_CARRY = 7 * (3 * _B) + (_B - 1) * 3            # R 2^b == (2^b - 1) other.lo
+_ABOVE_CARRY = 7 * (3 * _B + 1) + (_B - 1) * 3 + 1  # R 2^b is 1 above it
+_BELOW_CARRY = 7 * (3 * _B - 1) + (_B - 1) * 3 - 1  # R 2^b is 1 below it
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 3000), st.integers(0, 1 << 3000), st.integers(1, 1 << 1000),
+       st.integers(1, 1 << 1000), st.integers(1, 300))
+@example(7 * (3 * _B + 2), _AT_CARRY, 3 * _B, 3 * _B + 2, 64)  # floor 7
+@example(7 * (3 * _B + 2), _ABOVE_CARRY, 3 * _B + 1, 3 * _B + 2, 64)  # floors 7, 8
+@example(7 * (3 * _B + 2), _BELOW_CARRY, 3 * _B - 1, 3 * _B + 2, 64)  # floor 7
+@example(0, 1 << 200, 1 << 90, 1 << 91, 64)  # lo = 0
+@example(12345 << 80, 12345 << 80, 7, 1 << 40, 80)  # a zero-width numerator
+@example(1, 1 << 100, 0, 1 << 50, 32)  # a divisor that reaches zero
+def test_divide_for_floor_certifies_the_floor_of_divide(a, b, c, d, bits):
+    num = BigReal(min(a, b), max(a, b), bits)
+    den = BigReal(min(c, d), max(c, d), bits)
+    if den.lo == 0:
+        for method in (num.divide, num._divide_for_floor):
+            with pytest.raises(ZeroDivisionError):
+                method(den)
+        return
+    got, full = num._divide_for_floor(den), num.divide(den)
+    assert got.bits == bits
+    assert got.floor_certified() == full.floor_certified()
+    assert _contains(got, full)
+
+
+DENOMINATORS = st.one_of(
+    st.integers(0, 400).map(lambda k: 10 ** k),
+    st.integers(0, 400).map(lambda k: 1 << k),
+    st.integers(0, 1 << 300).map(lambda v: 2 * v + 1),
+    st.integers(1, 1 << 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DENOMINATORS.flatmap(lambda den: st.tuples(st.integers(0, 3 * den), st.just(den))),
+       st.integers(1, 300))
+@example((1, 10 ** 100), 400)  # route (a) of digits at N = 100
+@example((12345, 1 << 64), 64)  # the non-square branch: den = 1 << bits
+@example((1, 1 << 400), 10)  # den's power of two exceeds the working bits
+@example((7, 9), 100)  # an odd den with 1/2 < x <= 2
+@example((3, 1 << 0), 100)  # x > 2
+@example((10 ** 5, 10 ** 5), 64)  # x = 1
+def test_atan_divides_by_the_odd_part_of_den_exactly(fraction, bits):
+    num, den = fraction
+    got, plain = BigReal.atan_fraction(num, den, bits), atan_fraction_plain(num, den, bits)
+    assert (got.lo, got.hi, got.bits) == (plain.lo, plain.hi, plain.bits)
 
 
 @settings(max_examples=25, deadline=None)

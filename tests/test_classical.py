@@ -360,6 +360,25 @@ def test_decade_route_is_pi_over_beta_bit_for_bit(digits):
     assert (route.lo, route.hi, route.bits) == (exact.lo, exact.hi, exact.bits)
 
 
+def test_certified_floors_of_pi_over_beta_take_no_full_quotient(monkeypatch):
+    # pi/beta is only floored, so route (a) and count_certified divide by
+    # _divide_for_floor; count_closed_form subtracts the tie window first and
+    # keeps divide
+    def floors():
+        return ([pi_digits_detail(n) for n in (0, 1, 50, 400)],
+                [count_certified(r) for r in (Fraction(10 ** 40), 4.0, 2.0, 1e300)])
+
+    def full_quotient(self, other):
+        raise AssertionError("full-precision quotient")
+
+    expected = floors()
+    assert expected[1][:2] == [pi_digits(20), 6]
+    monkeypatch.setattr(BigReal, "divide", full_quotient)
+    assert floors() == expected
+    with pytest.raises(AssertionError, match="full-precision quotient"):
+        count_closed_form(0.1)
+
+
 def test_mpmath_floor_evaluated_at_one_precision(monkeypatch):
     # the mpmath floor is a cross-check, not the certificate: one pi at
     # N + 30 digits is enough, and a second pi would dominate a fresh run
