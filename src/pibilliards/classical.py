@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bigreal import BigReal
-from .core import (BilliardParams, DomainError, _check_beta, _check_decade,
-                   _check_positive, _format_int)
+from . import bigreal
+from .bigreal import BigReal, _format_int
+from .core import BilliardParams, DomainError, _check_beta, _check_decade, _check_positive
 
 if TYPE_CHECKING:
     from .curves import CurveSeries
@@ -204,7 +204,7 @@ def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
     At the ties of ``_RATIO_TIES`` it is their count, a degenerate interval.
     When p and q are perfect squares, beta is one arctan interval, so
     M/m = 100**N costs one arctan(10**-N).  Otherwise sqrt(q/p) is bracketed
-    by ``math.isqrt`` at pi's b bits as [r, r + 1] / 2^b, and beta by the
+    by an integer square root at pi's b bits as [r, r + 1] / 2^b, and beta by the
     arctan interval [lo, hi] at r / 2^b widened to [lo, hi + 2^-b].  Only the
     floor is read, so the quotient is :meth:`BigReal._divide_for_floor`'s: its
     floor is that of :meth:`BigReal.divide`, from two short divisions.
@@ -214,10 +214,11 @@ def _pi_over_beta(pi: BigReal, ratio: Fraction) -> BigReal:
         count = _RATIO_TIES[ratio] << bits
         return BigReal(count, count, bits)
     p, q = ratio.numerator, ratio.denominator
-    root_p, root_q = math.isqrt(p), math.isqrt(q)
+    root_p, root_q = bigreal._isqrt(p), bigreal._isqrt(q)
     if root_p * root_p == p and root_q * root_q == q:
         return pi._divide_for_floor(BigReal.atan_fraction(root_q, root_p, bits))
-    root = math.isqrt((q << (2 * bits)) // p)  # root <= sqrt(q/p) 2^bits < root + 1
+    # root <= sqrt(q/p) 2^bits < root + 1
+    root = bigreal._isqrt(bigreal._floordiv(q << (2 * bits), p))
     low = BigReal.atan_fraction(root, 1 << bits, bits)
     # arctan is increasing and 1-Lipschitz, so beta <= low.hi + 2^-bits
     return pi._divide_for_floor(BigReal(low.lo, low.hi + 1, bits))
@@ -234,10 +235,10 @@ def _pi_over_beta_root(pi: BigReal, root: int) -> BigReal:
 
 def _pi_root(pi: BigReal, ratio: Fraction) -> BigReal:
     """pi sqrt(p/q) for a rational p/q > 0, at twice pi's b bits: sqrt(p/q) is
-    bracketed by ``math.isqrt`` as [r, r + 1] / 2^b, as in :func:`_pi_over_beta`,
-    and the two non-negative intervals multiply exactly."""
+    bracketed as [r, r + 1] / 2^b, as in :func:`_pi_over_beta`, and the two
+    non-negative intervals multiply exactly."""
     bits = pi.bits
-    root = math.isqrt((ratio.numerator << (2 * bits)) // ratio.denominator)
+    root = bigreal._isqrt(bigreal._floordiv(ratio.numerator << (2 * bits), ratio.denominator))
     return BigReal(pi.lo * root, pi.hi * (root + 1), 2 * bits)
 
 

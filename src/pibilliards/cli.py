@@ -32,8 +32,9 @@ from . import __version__
 from .classical import (CollisionTrace, classical_curve, classical_eta_curve,
                         count_certified, count_closed_form, pi_digits_detail,
                         simulate)
+from .bigreal import _format_int
 from .core import (BilliardParams, DomainError, _check_beta, _check_decade,
-                   _format_int, format_sig, phase_shift, phase_shift_difference)
+                   format_sig, phase_shift, phase_shift_difference)
 
 if TYPE_CHECKING:
     from .curves import CurveSeries

@@ -13,7 +13,6 @@ Nothing here imports numpy or scipy at load time, so ``digits``, ``count``,
 
 from __future__ import annotations
 
-import decimal
 import functools
 import json
 import math
@@ -141,12 +140,6 @@ def _special():
 def format_sig(value, sig: int = 12) -> str:
     """Format a number with ``sig`` significant digits."""
     return f"{value:.{sig}g}"
-
-
-def _format_int(value: int) -> str:
-    """All decimal digits of ``value``; unlike str(), not bounded by
-    sys.get_int_max_str_digits() (4300 digits by default)."""
-    return str(decimal.Decimal(value))
 
 
 def beta_of_ratio(ratio_root: float) -> float:

@@ -22,7 +22,10 @@ in high-precision arithmetic (not from the vectorized unfolding); pi comes
 from the Machin series, interval quotients from all eight endpoint
 quotients and arctangents from the series divided by the whole denominator
 (not from the Chudnovsky binary splitting, the two-quotient
-``BigReal.divide`` and the division by the denominator's odd part).
+``BigReal.divide`` and the division by the denominator's odd part), and the
+floor enclosure of a quotient from its two endpoint divisions by the builtin
+// and divmod (not from one division and a product, by the recursive
+division).
 """
 
 from __future__ import annotations
@@ -436,6 +439,15 @@ def atan_fraction_plain(num: int, den: int, bits: int) -> BigReal:
         power = power * num * num // (den * den)
         k += 1
     return BigReal(max(total - 3 * k - 3, 0), total + 3 * k + 3, work).round_to(bits)
+
+
+def divide_for_floor_two_divisions(a: BigReal, b: BigReal) -> BigReal:
+    """``BigReal._divide_for_floor``'s enclosure from its two endpoint floors,
+    lo // b.hi and divmod(hi, b.lo), each taken by the builtin."""
+    bits = a.bits
+    quotient, remainder = divmod(a.hi, b.lo)
+    high = quotient + (((b.lo - remainder) << bits) < b.lo)
+    return BigReal((a.lo // b.hi) << bits, ((high + 1) << bits) - 1, bits)
 
 
 def divide_all_quotients(a: BigReal, b: BigReal) -> BigReal:

@@ -1,13 +1,18 @@
+import decimal
 import math
+import operator
 import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import atan_fraction_plain, divide_all_quotients, machin_pi
+from oracles import (atan_fraction_plain, divide_all_quotients, divide_for_floor_two_divisions,
+                     machin_pi)
 
-from pibilliards import BigReal, bigreal
+from pibilliards import BigReal, bigreal, classical
 
 
 def _fraction(num: int, den: int, bits: int) -> BigReal:
@@ -233,3 +238,180 @@ def test_pi_upper_bound_holds_with_eight_guard_bits(bits):
         iv = BigReal.pi(bits)
     with mpmath.workprec(bits + 64):
         assert iv.lo <= mpmath.pi * mpmath.mpf(2) ** bits <= iv.hi
+
+
+# -- the integer layer ----------------------------------------------------------
+
+_DIV = bigreal._BZ_DIVISOR_BITS
+_QUOT = bigreal._BZ_QUOTIENT_BITS
+_BLOCK = bigreal._BZ_BLOCK_BITS
+_ROOT = bigreal._ISQRT_BITS
+_STR = bigreal._STR_DIGITS
+SEEDS = st.integers(0, 2 ** 32)
+
+
+def _lengths(most: int):
+    """Bit lengths from 1 to ``most``, spread evenly over their own bit lengths."""
+    return st.integers(1, most.bit_length()).flatmap(
+        lambda e: st.integers(1 << (e - 1), min((1 << e) - 1, most)))
+
+
+def _top_bits(rng: random.Random, bits: int) -> int:
+    """A random integer of exactly ``bits`` bits."""
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+DIVISIONS = ("random", "multiple", "ones", "power of two", "zero", "below", "negative")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lengths(1_500_000), _lengths(1_500_000), SEEDS, st.sampled_from(DIVISIONS))
+@example(_DIV - 1, 2 * _QUOT, 0, "random")  # the divisor length threshold
+@example(_DIV, 2 * _QUOT, 0, "random")
+@example(_DIV + 1, 2 * _QUOT, 0, "random")
+@example(2 * _DIV, _QUOT - 1, 0, "random")  # the quotient length threshold
+@example(2 * _DIV, _QUOT, 0, "random")
+@example(2 * _DIV, _QUOT + 1, 0, "random")
+@example(4 * _BLOCK, 9 * _QUOT, 1, "random")  # one more level of recursion from here
+@example(4 * _BLOCK + 1, 9 * _QUOT, 1, "random")
+@example(3 * _DIV, 3 * _QUOT, 2, "below")  # a < b
+@example(3 * _DIV, 5 * _QUOT, 3, "multiple")  # remainder 0
+@example(3 * _DIV, 5 * _QUOT, 4, "ones")  # every quotient bit is 1
+@example(3 * _DIV, 5 * _QUOT, 5, "power of two")
+@example(3 * _DIV, 5 * _QUOT, 6, "zero")
+@example(3 * _DIV, 5 * _QUOT, 7, "negative")  # a ceiling division
+@example(200_000, 200_000, 8, "random")
+def test_floordiv_is_the_builtin_floordiv(divisor_bits, quotient_bits, seed, form):
+    rng = random.Random(seed)
+    b = 1 << (divisor_bits - 1) if form == "power of two" else _top_bits(rng, divisor_bits)
+    a = _top_bits(rng, divisor_bits + quotient_bits)
+    a = {"random": a, "multiple": b * (a >> divisor_bits), "ones": (b << quotient_bits) - 1,
+         "zero": 0, "below": a % b, "negative": -a, "power of two": a}[form]
+    assert bigreal._floordiv(a, b) == a // b
+    if a >= 0:
+        assert bigreal._divmod(a, b) == divmod(a, b)
+
+
+ROOTS = ("random", "square", "square - 1", "square + 1", "power of four", "zero")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lengths(3_000_000), SEEDS, st.sampled_from(ROOTS))
+@example(_ROOT - 1, 0, "random")  # the radicand length threshold
+@example(_ROOT, 0, "random")
+@example(_ROOT + 1, 0, "random")
+@example(4 * _ROOT + 1, 1, "square")
+@example(4 * _ROOT + 1, 2, "square - 1")
+@example(4 * _ROOT + 1, 3, "square + 1")
+@example(4 * _ROOT + 2, 4, "power of four")
+@example(4 * _ROOT, 5, "zero")
+@example(1_000_000, 6, "square - 1")
+def test_isqrt_is_math_isqrt(bits, seed, form):
+    rng = random.Random(seed)
+    root = _top_bits(rng, (bits + 1) // 2)
+    n = {"random": _top_bits(rng, bits), "square": root * root, "square - 1": root * root - 1,
+         "square + 1": root * root + 1, "power of four": 1 << (bits & ~1), "zero": 0}[form]
+    assert bigreal._isqrt(n) == math.isqrt(n)
+
+
+NUMERALS = ("random", "power of ten", "power of ten - 1", "power of ten + 1", "negative", "zero")
+
+
+# str() itself takes quadratic time on CPython 3.11, 12 s at 3e6 bits, so the
+# sizes stop at 1e6 bits, about the 300 000 digits of digits --N 300000
+@settings(max_examples=30, deadline=None)
+@given(_lengths(1_000_000), SEEDS, st.sampled_from(NUMERALS))
+@example(3 * _STR, 0, "random")  # str() alone up to 3 _STR bits
+@example(3 * _STR + 1, 0, "random")
+@example(4 * _STR, 1, "power of ten - 1")  # 10^_STR - 1: the first split
+@example(4 * _STR, 2, "power of ten")
+@example(7 * _STR, 3, "power of ten + 1")  # 10^(2 _STR) + 1: a padded zero block
+@example(7 * _STR, 4, "power of ten - 1")
+@example(60_000, 5, "negative")
+@example(1, 6, "zero")
+def test_format_int_is_str(bits, seed, form):
+    rng = random.Random(seed)
+    # the powers of ten land on the split points 10^(_STR 2^i) near ``bits``
+    ten = 10 ** (_STR << max(round(math.log2(bits / 3.33 / _STR)), 0)) if bits > 3 * _STR else 10
+    value = _top_bits(rng, bits)
+    value = {"random": value, "power of ten": ten, "power of ten - 1": ten - 1,
+             "power of ten + 1": ten + 1, "negative": -value, "zero": 0}[form]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the least limit str() may be given
+        got = bigreal._format_int(value)
+        sys.set_int_max_str_digits(0)
+        assert got == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _builtin_kernels(mp: pytest.MonkeyPatch) -> None:
+    """Put the builtins back in place of the integer layer's kernels."""
+    mp.setattr(bigreal, "_divmod", divmod)
+    mp.setattr(bigreal, "_floordiv", operator.floordiv)
+    mp.setattr(bigreal, "_isqrt", math.isqrt)
+    mp.setattr(bigreal, "_format_int", lambda value: str(decimal.Decimal(value)))
+
+
+def _digits_layer(digits: int):
+    """The intervals and results of digits --N at its starting precision."""
+    bits = classical._ratio_start(Fraction(100 ** digits))
+    pi = BigReal.pi(bits)
+    beta = BigReal.atan_fraction(1, 10 ** digits, bits)
+    ends = [(iv.lo, iv.hi, iv.bits) for iv in (pi, beta, pi._divide_for_floor(beta))]
+    detail = classical.pi_digits_detail(digits)
+    return ends, detail, bigreal._format_int(detail.value)
+
+
+@pytest.mark.parametrize("digits", [0, 1, 2700, 5000, 20000])
+def test_digits_are_the_same_with_the_builtin_kernels(digits):
+    fast = _digits_layer(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _builtin_kernels(mp)
+        assert _digits_layer(digits) == fast
+
+
+# a 3000-bit numerator over an odd denominator of up to 1500 bits: the non-square branch
+_LONG_RATIO = Fraction(_top_bits(random.Random(3000), 3000), random.Random(3).getrandbits(1500) | 1)
+
+
+@pytest.mark.parametrize("ratio", [1e300, _LONG_RATIO])
+def test_counts_are_the_same_with_the_builtin_kernels(ratio):
+    exact = Fraction(ratio)
+    bits = classical._ratio_start(exact)
+    ends = classical._pi_over_beta(BigReal.pi(bits), exact)
+    fast = (ends.lo, ends.hi), classical.count_certified(ratio)
+    with pytest.MonkeyPatch.context() as mp:
+        _builtin_kernels(mp)
+        ends = classical._pi_over_beta(BigReal.pi(bits), exact)
+        assert ((ends.lo, ends.hi), classical.count_certified(ratio)) == fast
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lengths(40_000), _lengths(20_000), st.integers(0, 1 << 64), st.integers(0, 1 << 64),
+       st.integers(1, 4000), SEEDS)
+@example(40_000, 20_000, 0, 0, 3000, 0)  # a point numerator: one division
+@example(40_000, 20_000, 1 << 64, 1 << 64, 3000, 1)  # wide: R reaches other.lo
+def test_divide_for_floor_is_its_two_divisions(num_bits, den_bits, num_width, den_width,
+                                               bits, seed):
+    # R = hi - low other.lo reaches other.lo once the interval is wide enough;
+    # only then is R divided again
+    rng = random.Random(seed)
+    lo, d = _top_bits(rng, num_bits), _top_bits(rng, den_bits)
+    num = BigReal(lo, lo + (num_width << max(num_bits - 64, 0)), bits)
+    den = BigReal(d, d + (den_width << max(den_bits - 64, 0)), bits)
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return divmod(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigreal, "_floordiv", operator.floordiv)
+        mp.setattr(bigreal, "_divmod", counted)
+        got = num._divide_for_floor(den)
+    low = num.lo // den.hi
+    assert bool(calls) == (num.hi - low * den.lo >= den.lo)
+    expected = divide_for_floor_two_divisions(num, den)
+    assert (got.lo, got.hi, got.bits) == (expected.lo, expected.hi, expected.bits)
